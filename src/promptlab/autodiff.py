@@ -2,7 +2,9 @@
 
 Small tape-free autograd: every operation links its output tensor to the
 input tensors and a VJP closure, so the graph lives on the tensors
-themselves and independent model instances never share state.  Only the
+themselves and independent model instances never share state.  Links
+point from outputs to inputs only, so a graph holds no reference cycle and
+is freed by reference counting as soon as its output is dropped.  Only the
 primitives needed by a miniature transformer are provided (matmul,
 elementwise arithmetic, layer norm, softmax, masked multi-head attention,
 cosine similarity) plus a central finite-difference oracle used to check
@@ -99,27 +101,35 @@ class Tensor:
 
 
 class OpNode:
-    """One recorded primitive: inputs, output and the VJP closure."""
+    """One recorded primitive: its inputs and the VJP closure.
 
-    __slots__ = ("name", "inputs", "output", "vjp")
+    The node holds no reference to its output tensor, so graphs stay
+    acyclic; :func:`backward` reaches outputs through the traced tensors.
+    """
 
-    def __init__(self, name: str, inputs: Sequence[Tensor], output: Tensor,
+    __slots__ = ("name", "inputs", "vjp")
+
+    def __init__(self, name: str, inputs: Sequence[Tensor],
                  vjp: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.name = name
         self.inputs = tuple(inputs)
-        self.output = output
         self.vjp = vjp
 
 
 class ComputationRecord:
-    """Topologically ordered list of the operations behind one output."""
+    """Topologically ordered non-leaf tensors behind one output."""
 
-    def __init__(self, operations: list):
-        self.operations = operations
+    def __init__(self, tensors: list):
+        self.tensors = tensors
+
+    @property
+    def operations(self) -> list:
+        """The recorded primitives, in the same order as ``tensors``."""
+        return [t.node for t in self.tensors]
 
     @classmethod
     def trace(cls, output: Tensor) -> "ComputationRecord":
-        ordered: list[OpNode] = []
+        ordered: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(output, False)]
         while stack:
@@ -127,7 +137,7 @@ class ComputationRecord:
             if t.node is None:
                 continue
             if expanded:
-                ordered.append(t.node)
+                ordered.append(t)
                 continue
             if id(t) in seen:
                 continue
@@ -146,7 +156,7 @@ def _make(name: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Ten
     out = Tensor(out_data)
     if any(t.requires_grad or t.node is not None for t in inputs):
         out.requires_grad = True
-        out.node = OpNode(name, inputs, out, vjp)
+        out.node = OpNode(name, inputs, vjp)
     return out
 
 
@@ -297,14 +307,15 @@ def stack_rows(tensors: Sequence) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    summed = a.data.sum(axis=axis, keepdims=True)
+    kept_shape = summed.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        # Tensor storage promotes 0-d to (1,); restore the reduced axes
+        return (np.broadcast_to(g.reshape(kept_shape), a.shape).copy(),)
 
-    return _make("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    out = summed if keepdims else np.squeeze(summed, axis=axis)
+    return _make("sum", out, (a,), vjp)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -314,11 +325,13 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def dot(a, b) -> Tensor:
-    return tsum(mul(a, b))
+    """Inner product over the last axis; leading axes broadcast."""
+    return tsum(mul(a, b), axis=-1)
 
 
 def norm(a) -> Tensor:
-    return sqrt(tsum(mul(a, a)))
+    """Euclidean norm over the last axis."""
+    return sqrt(tsum(mul(a, a), axis=-1))
 
 
 # -- linear algebra -------------------------------------------------------
@@ -402,13 +415,19 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 
 def cosine_similarity(a, b):
-    """a.b / (|a||b|) for 1-D vectors; errors on zero-norm input."""
+    """a.b / (|a||b|) over the last axis, broadcasting the leading axes.
+
+    ``(d,)`` against ``(C, d)`` gives ``(C,)``; ``(V, 1, d)`` against
+    ``(C, d)`` gives ``(V, C)``.  Errors when any row has zero norm.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.size != b.size or a.size == 0:
-        raise ValueError("cosine_similarity expects equal-length 1-D vectors")
-    if np.linalg.norm(a.data) == 0.0 or np.linalg.norm(b.data) == 0.0:
+    if a.size == 0 or b.size == 0 or a.shape[-1] != b.shape[-1]:
+        raise ValueError("cosine_similarity expects non-empty vectors of "
+                         "equal length along the last axis")
+    norm_a, norm_b = norm(a), norm(b)
+    if not (norm_a.data.all() and norm_b.data.all()):
         raise ValueError("degenerate vector")
-    return div(dot(a, b), mul(norm(a), norm(b)))
+    return div(dot(a, b), mul(norm_a, norm_b))
 
 
 # -- attention ------------------------------------------------------------
@@ -467,10 +486,11 @@ def backward(output: Tensor) -> ComputationRecord:
         raise ValueError("backward requires scalar loss")
     record = ComputationRecord.trace(output)
     flowing: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    for node in reversed(record.operations):
-        g = flowing.pop(id(node.output), None)
+    for t in reversed(record.tensors):
+        g = flowing.pop(id(t), None)
         if g is None:
             continue
+        node = t.node
         grads = node.vjp(g)
         for parent, pg in zip(node.inputs, grads):
             if pg is None or not (parent.requires_grad or parent.node is not None):
@@ -479,9 +499,9 @@ def backward(output: Tensor) -> ComputationRecord:
             flowing[key] = flowing[key] + pg if key in flowing else pg
     # whatever is left in flight belongs to leaves; accumulate additively
     index = {id(output): output}
-    for node in record.operations:
-        for t in node.inputs:
-            index[id(t)] = t
+    for t in record.tensors:
+        for parent in t.node.inputs:
+            index[id(parent)] = parent
     for key, g in flowing.items():
         t = index[key]
         if t.requires_grad:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import EncoderState, ModelConfig, PromptSet
+from .encoders import EncoderState, ModelConfig, PromptSet, _stream
 
 # ordered so small n_classes slices are maximally distinct; offset 4 yields
 # a disjoint family set for transfer targets
@@ -34,11 +34,6 @@ MIN_CONTRAST = 0.4       # guaranteed fg-vs-bg mean intensity gap
 
 CHECKPOINT_MAGIC = b"PLCK"
 CHECKPOINT_VERSION = 1
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 # ---------------------------------------------------------------- shapes

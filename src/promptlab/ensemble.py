@@ -13,9 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import softmax
+from .autodiff import Tensor, cosine_similarity, softmax
 from .encoders import EncoderState, ModelConfig, PromptSet
-from .tuning import BranchOutputs, TextBank, forward_three_branch
+from .tuning import (BranchOutputs, TextBank, forward_three_branch,
+                     sim_augmented)
 
 DEFAULT_THRESHOLD = 0.8
 
@@ -35,26 +36,20 @@ class BranchLogits:
         return out
 
 
-def _cosine_rows(rep: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(rep)
-    if (norms == 0).any():
-        raise ValueError("degenerate vector")
-    return (rows @ rep) / norms
-
-
 def branch_logits(rep, bank_rows, tau: float) -> np.ndarray:
     """Cosine/tau logits of one branch against one side of the text bank.
 
     A 2-D ``rep`` (the augmented branch) is scored by the equal-weight mean
-    of its per-row cosines to each class row.
+    of its per-row cosines to each class row, exactly as in training.  Both
+    sides enter as constants, so scoring builds no graph.
     """
-    rep = np.asarray(getattr(rep, "data", rep), dtype=np.float64)
-    rows = np.asarray(getattr(bank_rows, "data", bank_rows), dtype=np.float64)
-    if rep.ndim == 1:
-        sims = _cosine_rows(rep, rows)
+    rep = Tensor(getattr(rep, "data", rep))
+    rows = Tensor(getattr(bank_rows, "data", bank_rows))
+    if rep.data.ndim == 1:
+        sims = cosine_similarity(rep, rows)
     else:
-        sims = np.stack([_cosine_rows(r, rows) for r in rep]).mean(axis=0)
-    return sims / tau
+        sims = sim_augmented(rep, rows)
+    return sims.data / tau
 
 
 def three_branch_logits(outputs: BranchOutputs, bank: TextBank,

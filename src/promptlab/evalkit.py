@@ -199,9 +199,7 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
     rows = bank.prompted
     if class_index is None:
         x_p = project_global(res.cls, state)
-        sims = [ad.cosine_similarity(x_p, rows[i]).item()
-                for i in range(rows.shape[0])]
-        class_index = int(np.argmax(sims))
+        class_index = int(np.argmax(ad.cosine_similarity(x_p, rows).data))
     elif not 0 <= int(class_index) < rows.shape[0]:
         raise ValueError("class index out of range")
 

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datagen import Subset, _stream, tokenize_template
-from .encoders import (EncoderState, ModelConfig, PromptSet, embed_image,
-                       embed_text, encode_image_prompted, encode_text_prompted,
-                       project_augmented, project_global, project_text)
+from .datagen import Subset, tokenize_template
+from .encoders import (EncoderState, ModelConfig, PromptSet, _stream,
+                       embed_image, embed_text, encode_image_prompted,
+                       encode_text_prompted, project_augmented,
+                       project_global, project_text)
 
 MOMENTUM = 0.9
 
@@ -109,10 +110,6 @@ def forward_three_branch(image, prompts: PromptSet, cfg: ModelConfig,
 
 # ------------------------------------------------------------------ losses
 
-def _scalars_to_vector(scalars) -> Tensor:
-    return ad.concat([ad.reshape(s, (1,)) for s in scalars], axis=0)
-
-
 def _mean_scalars(scalars) -> Tensor:
     total = scalars[0]
     for s in scalars[1:]:
@@ -122,11 +119,9 @@ def _mean_scalars(scalars) -> Tensor:
 
 def loss_ce(x_rep: Tensor, bank: TextBank, y: int, tau: float) -> Tensor:
     """Cross entropy of cosine/tau logits against the prompted text bank."""
-    n_c = bank.n_classes
-    if not 0 <= int(y) < n_c:
+    if not 0 <= int(y) < bank.n_classes:
         raise ValueError("class index out of range")
-    sims = [ad.cosine_similarity(x_rep, bank.prompted[i]) for i in range(n_c)]
-    logits = _scalars_to_vector(sims) * (1.0 / tau)
+    logits = ad.cosine_similarity(x_rep, bank.prompted) * (1.0 / tau)
     return -ad.log_softmax(logits)[int(y)]
 
 
@@ -135,19 +130,21 @@ def loss_consistency(prompted: Tensor, vanilla: Tensor) -> Tensor:
 
 
 def sim_augmented(aug_reps: Optional[Tensor], z: Tensor) -> Tensor:
-    """Equal-weight mean of per-prompt cosine similarities to one text row."""
+    """Equal-weight mean of per-prompt cosine similarities to each text row.
+
+    ``aug_reps`` is ``(V, d)``; ``z`` is one row ``(d,)`` or a bank
+    ``(C, d)``, giving one similarity per row.
+    """
     if aug_reps is None or aug_reps.shape[0] == 0:
         raise ValueError("augmented branch requires visual prompts")
-    sims = [ad.cosine_similarity(aug_reps[i], z)
-            for i in range(aug_reps.shape[0])]
-    return _mean_scalars(sims)
+    n_prompts, width = aug_reps.shape
+    per_prompt = ad.reshape(aug_reps, (n_prompts, 1, width))
+    return ad.mean(ad.cosine_similarity(per_prompt, z), axis=0)
 
 
-def loss_aug_single(aug_reps: Tensor, bank: TextBank, y: int,
-                     tau: float) -> Tensor:
-    sims = [sim_augmented(aug_reps, bank.prompted[i])
-            for i in range(bank.n_classes)]
-    logits = _scalars_to_vector(sims) * (1.0 / tau)
+def loss_aug_single(aug_reps: Optional[Tensor], bank: TextBank, y: int,
+                    tau: float) -> Tensor:
+    logits = sim_augmented(aug_reps, bank.prompted) * (1.0 / tau)
     return -ad.log_softmax(logits)[int(y)]
 
 
@@ -201,20 +198,6 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
         out["aug"] = Tensor(np.asarray(0.0))
         out["total"] = glob
     return out
-
-
-def loss_global(batch, prompts, cfg, state, class_names, **kw) -> Tensor:
-    return compute_losses(batch, prompts, cfg, state, class_names, **kw)["global"]
-
-
-def loss_aug(batch, prompts, cfg, state, class_names, **kw) -> Tensor:
-    if cfg.visual_prompt_len == 0:
-        raise ValueError("augmented branch requires visual prompts")
-    return compute_losses(batch, prompts, cfg, state, class_names, **kw)["aug"]
-
-
-def loss_total(batch, prompts, cfg, state, class_names, **kw) -> Tensor:
-    return compute_losses(batch, prompts, cfg, state, class_names, **kw)["total"]
 
 
 # --------------------------------------------------------------- optimizer

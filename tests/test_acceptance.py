@@ -24,8 +24,7 @@ from promptlab.evalkit import (extract_attention_map, foreground_mass,
                                harmonic_mean, segmentation_metrics)
 from promptlab.tuning import (Batch, TextBank, build_text_bank,
                               compute_losses, forward_three_branch,
-                              loss_aug_single, loss_ce, loss_consistency,
-                              loss_total)
+                              loss_aug_single, loss_ce, loss_consistency)
 
 
 def verdict(n: int, text: str) -> None:
@@ -35,7 +34,7 @@ def verdict(n: int, text: str) -> None:
 # ---------------------------------------------------------------- 1
 
 def test_criterion_1_gradient_fidelity():
-    """loss_total gradients vs central differences on the stated sizes."""
+    """Total-loss gradients vs central differences on the stated sizes."""
     started = time.time()
     cfg = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=2,
                       heads=2, patch_grid=(2, 2), image_size=8, vocab_size=12,
@@ -46,13 +45,14 @@ def test_criterion_1_gradient_fidelity():
     batch = Batch(images=ds.images, labels=ds.labels)
     names = list(ds.class_names)
 
-    loss = loss_total(batch, prompts, cfg, state, names)
+    loss = compute_losses(batch, prompts, cfg, state, names)["total"]
     ad.backward(loss)
     params = prompts.parameters()
     analytic = [p.grad.copy() for p in params]
 
     fd = ad.finite_difference_gradient(
-        lambda: loss_total(batch, prompts, cfg, state, names).item(),
+        lambda: compute_losses(batch, prompts, cfg, state,
+                               names)["total"].item(),
         params, step=1e-5)
     worst = max(ad.max_relative_error(a, f) for a, f in zip(analytic, fd))
     elapsed = time.time() - started

@@ -116,6 +116,39 @@ def test_cosine_symmetric():
     assert cosine_similarity(a, b).item() == cosine_similarity(b, a).item()
 
 
+@pytest.mark.parametrize("width", [5, 32])
+def test_cosine_broadcast_equals_1d_path_elementwise(width):
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=width)
+    reps = rng.normal(size=(3, width))
+    rows = rng.normal(size=(4, width))
+
+    got = cosine_similarity(Tensor(x), Tensor(rows)).data
+    want = [cosine_similarity(Tensor(x), Tensor(r)).item() for r in rows]
+    assert got.shape == (4,)
+    assert np.array_equal(got, want)
+
+    got = cosine_similarity(Tensor(reps[:, None, :]), Tensor(rows)).data
+    want = [[cosine_similarity(Tensor(v), Tensor(r)).item() for r in rows]
+            for v in reps]
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, want)
+
+
+def test_cosine_any_zero_row_errors():
+    rows = np.ones((3, 4))
+    rows[1] = 0.0
+    with pytest.raises(ValueError, match="degenerate vector"):
+        cosine_similarity(Tensor(np.ones(4)), Tensor(rows))
+    with pytest.raises(ValueError, match="degenerate vector"):
+        cosine_similarity(Tensor(rows[:, None, :]), Tensor(np.ones((2, 4))))
+
+
+def test_cosine_rejects_mismatched_width():
+    with pytest.raises(ValueError, match="equal length"):
+        cosine_similarity(Tensor(np.ones(3)), Tensor(np.ones((2, 4))))
+
+
 # --------------------------------------------------------- masked attention
 
 def _rand_qkv(n, d, seed):
@@ -345,6 +378,9 @@ def _scenario(name, seed):
     if name == "cosine":
         a, b = t(5), t(5)
         return [a, b], lambda: cosine_similarity(a, b)
+    if name == "cosine_broadcast":
+        a, b = t(3, 1, 5), t(4, 5)
+        return [a, b], lambda: ad.tsum(ad.tanh(cosine_similarity(a, b)))
     if name == "attention":
         q, k, v = t(4, 6), t(4, 6), t(4, 6)
         mask = np.zeros((4, 4), dtype=bool)
@@ -358,7 +394,8 @@ PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
     "tanh", "gelu", "power", "matmul_22", "matmul_21", "matmul_12",
     "matmul_33", "sum_axis", "mean", "reshape_transpose", "concat",
-    "getitem", "stack", "softmax", "layer_norm", "cosine", "attention",
+    "getitem", "stack", "softmax", "layer_norm", "cosine",
+    "cosine_broadcast", "attention",
 ]
 
 
@@ -373,6 +410,24 @@ def test_primitive_gradients_match_finite_differences(name):
         fd = finite_difference_gradient(lambda: make_loss().item(), params)
         for p, g in zip(params, fd):
             assert max_relative_error(p.grad, g) < 1e-4, name
+
+
+@pytest.mark.parametrize("reduce", [ad.tsum, ad.mean])
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+@pytest.mark.parametrize("axis", [None, 0, -1])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_reduction_axis_gradients_match_finite_differences(reduce, shape,
+                                                            axis, keepdims):
+    rng = np.random.default_rng(len(shape))
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    w = Tensor(rng.normal(size=reduce(a, axis=axis, keepdims=keepdims).shape))
+
+    def make_loss():
+        return ad.tsum(ad.tanh(reduce(a, axis=axis, keepdims=keepdims)) * w)
+
+    backward(make_loss())
+    fd = finite_difference_gradient(lambda: make_loss().item(), [a])[0]
+    assert max_relative_error(a.grad, fd) < 1e-6
 
 
 def test_gradcheck_instance_count():

@@ -4,6 +4,8 @@ Scalar loss oracles were produced with 60-digit extended-precision
 arithmetic before the implementation existed and are frozen below.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,7 @@ from promptlab.encoders import EncoderState, ModelConfig, PromptSet
 from promptlab.tuning import (Batch, SGDMomentum, TextBank, build_text_bank,
                               combine_global, compute_losses,
                               forward_three_branch, global_branch_accuracy,
-                              loss_aug, loss_aug_single, loss_ce,
-                              loss_consistency, loss_global, loss_total,
+                              loss_aug_single, loss_ce, loss_consistency,
                               sim_augmented, train, train_step,
                               vanilla_image_rep, vanilla_text_rows)
 
@@ -133,6 +134,23 @@ def test_loss_aug_single_matches_hand_table():
     assert abs(got - AUG_TABLE_ORACLE) < 1e-12
 
 
+def test_loss_aug_single_gradients_match_finite_differences():
+    rng = np.random.default_rng(5)
+    aug = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    rows = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    bank = TextBank(prompted=rows, vanilla=Tensor(rows.data.copy()),
+                    class_names=("a", "b", "c", "d"))
+
+    def make_loss():
+        return loss_aug_single(aug, bank, 2, tau=0.5)
+
+    ad.backward(make_loss())
+    fd = ad.finite_difference_gradient(lambda: make_loss().item(),
+                                       [aug, rows])
+    assert ad.max_relative_error(aug.grad, fd[0]) < 1e-6
+    assert ad.max_relative_error(rows.grad, fd[1]) < 1e-6
+
+
 def test_loss_aug_collapses_to_ce_when_rows_equal_global():
     bank, x = bank_from_cosines([0.4, -0.1])
     rows = Tensor(np.tile(x, (3, 1)))
@@ -195,12 +213,9 @@ def test_loss_total_is_global_plus_aug():
     losses = compute_losses(batch, prompts, cfg, state, names)
     assert abs(losses["total"].item()
                - (losses["global"].item() + losses["aug"].item())) < 1e-12
-    assert loss_total(batch, prompts, cfg, state, names).item() == \
-        losses["total"].item()
-    assert loss_global(batch, prompts, cfg, state, names).item() == \
-        losses["global"].item()
-    assert loss_aug(batch, prompts, cfg, state, names).item() == \
-        losses["aug"].item()
+    again = compute_losses(batch, prompts, cfg, state, names)
+    for key in ("total", "global", "aug"):
+        assert again[key].item() == losses[key].item()
 
 
 def test_empty_batch_rejected():
@@ -211,8 +226,7 @@ def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty batch"):
         compute_losses(batch, prompts, cfg, state, ["square", "ring"])
     with pytest.raises(ValueError, match="augmented branch requires"):
-        loss_aug(batch, prompts, tuning_cfg(visual_prompt_len=0), state,
-                 ["square", "ring"])
+        loss_aug_single(None, hand_bank(np.eye(2)), 0, tau=0.5)
 
 
 # -------------------------------------------------------- three branches
@@ -285,6 +299,23 @@ def test_vanilla_branch_contributes_no_gradient():
     assert vr.is_constant
 
 
+def test_loss_graph_is_freed_without_the_cyclic_collector():
+    # graphs link outputs to inputs only, so reference counting frees them
+    cfg = tuning_cfg()
+    state = EncoderState.initialize(cfg, seed=5)
+    prompts = PromptSet.initialize(cfg, seed=6)
+    batch, names = tiny_task(cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        losses = compute_losses(batch, prompts, cfg, state, names)
+        ad.backward(losses["total"])
+        del losses
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------------- gradients
 
 def test_loss_total_gradients_match_finite_differences():
@@ -294,12 +325,13 @@ def test_loss_total_gradients_match_finite_differences():
     batch, names = tiny_task(cfg)
     params = prompts.parameters()
 
-    loss = loss_total(batch, prompts, cfg, state, names)
+    loss = compute_losses(batch, prompts, cfg, state, names)["total"]
     ad.backward(loss)
     analytic = [p.grad.copy() for p in params]
 
     numeric = ad.finite_difference_gradient(
-        lambda: loss_total(batch, prompts, cfg, state, names).item(), params)
+        lambda: compute_losses(batch, prompts, cfg, state,
+                               names)["total"].item(), params)
     for a, n in zip(analytic, numeric):
         assert ad.max_relative_error(a, n) < 1e-4
 
