@@ -281,16 +281,25 @@ def getitem(a, idx) -> Tensor:
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    """Join tensors along ``axis``; lower-rank parts broadcast over the
+    missing leading axes (a ``(V, d)`` block joins a ``(B, n, d)`` stack
+    along ``axis=-2``), and their gradient is summed back over them."""
     parts = [as_tensor(t) for t in tensors]
-    sizes = [p.data.shape[axis] for p in parts]
+    ndim = max(p.data.ndim for p in parts)
+    if axis >= 0:
+        axis -= ndim
+    lead = next(p.shape for p in parts if p.data.ndim == ndim)[:axis]
+    datas = [p.data if p.data.ndim == ndim
+             else np.broadcast_to(p.data, lead[:ndim - p.data.ndim] + p.shape)
+             for p in parts]
+    sizes = [d.shape[axis] for d in datas]
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece)
-                     for piece in np.split(g, splits, axis=axis))
+        return tuple(_unbroadcast(np.ascontiguousarray(piece), p.shape)
+                     for piece, p in zip(np.split(g, splits, axis=axis), parts))
 
-    return _make("concat", np.concatenate([p.data for p in parts], axis=axis),
-                 parts, vjp)
+    return _make("concat", np.concatenate(datas, axis=axis), parts, vjp)
 
 
 def stack_rows(tensors: Sequence) -> Tensor:
@@ -329,26 +338,34 @@ def dot(a, b) -> Tensor:
     return tsum(mul(a, b), axis=-1)
 
 
-def norm(a) -> Tensor:
+def norm(a, keepdims: bool = False) -> Tensor:
     """Euclidean norm over the last axis."""
-    return sqrt(tsum(mul(a, a), axis=-1))
+    return sqrt(tsum(mul(a, a), axis=-1, keepdims=keepdims))
 
 
 # -- linear algebra -------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """Matrix product.  Besides the 1-D/2-D cases, ``(..., n, d) @ (d, k)``
+    applies one weight to a stack (its gradient sums over the stack) and
+    ``(..., n, d) @ (..., d, m)`` multiplies equally shaped stacks slice by
+    slice."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
         vjp = lambda g: (g @ bd.T, ad.T @ g)
+    elif ad.ndim > 2 and bd.ndim == 2:
+        vjp = lambda g: (g @ bd.T,
+                         ad.reshape(-1, ad.shape[-1]).T
+                         @ g.reshape(-1, g.shape[-1]))
     elif ad.ndim == 2 and bd.ndim == 1:
         vjp = lambda g: (np.outer(g, bd), ad.T @ g)
     elif ad.ndim == 1 and bd.ndim == 2:
         vjp = lambda g: (bd @ g, np.outer(ad, g))
-    elif ad.ndim == 3 and bd.ndim == 3:
-        vjp = lambda g: (g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g)
+    elif ad.ndim == bd.ndim >= 3 and ad.shape[:-2] == bd.shape[:-2]:
+        vjp = lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
     else:
-        raise ValueError(f"unsupported matmul ranks {ad.ndim} @ {bd.ndim}")
+        raise ValueError(f"unsupported matmul shapes {ad.shape} @ {bd.shape}")
     return _make("matmul", ad @ bd, (a, b), vjp)
 
 
@@ -436,6 +453,8 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
                      return_weights: bool = False):
     """Multi-head scaled dot-product attention with a boolean block mask.
 
+    ``q``, ``k`` and ``v`` are ``(..., n, d)``; the ``(n, n)`` mask and the
+    weights' ``(..., heads, n, n)`` layout broadcast over the leading axes.
     ``mask[i][j] == True`` forbids token i from attending to token j.  The
     mask is applied additively before the softmax with a ``-1e9`` fill, which
     underflows to weight exactly 0.0, and the weights are re-zeroed so the
@@ -443,9 +462,9 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
     computation bit-identical to unmasked attention.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    n, d = q.shape
-    if k.shape != (n, d) or v.shape != (n, d):
-        raise ValueError("queries, keys and values must share shape (n, d)")
+    if q.data.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ValueError("queries, keys and values must share shape (..., n, d)")
+    *lead, n, d = q.shape
     if d % heads != 0:
         raise ValueError(f"width {d} not divisible by {heads} heads")
     if mask is not None:
@@ -458,17 +477,21 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
             mask = None
 
     dh = d // heads
-    qh = transpose(reshape(q, (n, heads, dh)), (1, 0, 2))
-    kh = transpose(reshape(k, (n, heads, dh)), (1, 0, 2))
-    vh = transpose(reshape(v, (n, heads, dh)), (1, 0, 2))
+    r = len(lead)
+    # (..., n, heads, dh) -> (..., heads, n, dh); the same swap undoes it
+    split_heads = (*range(r), r + 1, r, r + 2)
+    keys_t = (*range(r + 1), r + 2, r + 1)
+    qh = transpose(reshape(q, (*lead, n, heads, dh)), split_heads)
+    kh = transpose(reshape(k, (*lead, n, heads, dh)), split_heads)
+    vh = transpose(reshape(v, (*lead, n, heads, dh)), split_heads)
 
-    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / math.sqrt(dh))
+    scores = matmul(qh, transpose(kh, keys_t)) * (1.0 / math.sqrt(dh))
     if mask is not None:
         scores = add(scores, Tensor(np.where(mask, MASK_FILL, 0.0)))
     weights = softmax(scores, axis=-1)
     if mask is not None:
         weights = mul(weights, Tensor(np.where(mask, 0.0, 1.0)))
-    out = reshape(transpose(matmul(weights, vh), (1, 0, 2)), (n, d))
+    out = reshape(transpose(matmul(weights, vh), split_heads), (*lead, n, d))
     if return_weights:
         return out, weights
     return out

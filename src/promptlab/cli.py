@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (VOCAB, SyntheticDataset, generate_dataset, held_out,
-                      sample_few_shot, save_checkpoint, select_classes)
+from .datagen import (VOCAB, SyntheticDataset, atomic_open, generate_dataset,
+                      held_out, sample_few_shot, save_checkpoint,
+                      select_classes)
 from .encoders import EncoderState, ModelConfig, PromptSet
 from .ensemble import predict, resolve_strategy
 from .evalkit import (accuracy, binarize_map, extract_attention_map,
@@ -162,7 +163,8 @@ def save_config(cfg: ExperimentConfig, path) -> None:
                 v = " ".join(str(x) for x in v)
             lines.append(f"{key} = {v}")
         lines.append("")
-    Path(path).write_text("\n".join(lines))
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines))
 
 
 def to_model_config(cfg: ExperimentConfig) -> ModelConfig:

@@ -10,7 +10,9 @@ bit-identical across platforms.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,8 +121,9 @@ class SyntheticDataset:
         }
 
     def save_manifest(self, path) -> None:
-        Path(path).write_text(json.dumps(self.manifest(), sort_keys=True,
-                                         indent=1) + "\n")
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(self.manifest(), sort_keys=True, indent=1)
+                     + "\n")
 
 
 def generate_dataset(n_classes: int, per_class: int, image_size: int,
@@ -229,7 +232,23 @@ def tokenize_template(class_name: str) -> list:
     return tokenize(TEMPLATE.format(class_name))
 
 
-# -------------------------------------------------------------- checkpoint
+# -------------------------------------------------------------- persistence
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write ``path`` through a sibling temp file that replaces it only
+    when the block completes, so a failed write leaves the previous file
+    (or none) and no partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
                     prompts: PromptSet) -> None:
@@ -240,7 +259,7 @@ def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
         "tensors": [[name, list(t.shape)] for name, t in items],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(blob)))

@@ -314,22 +314,32 @@ class EncoderState:
 # ----------------------------------------------------------- embeddings
 
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Split an image into row-major flattened patches, shape (m, patch_dim)."""
+    """Split an image into row-major flattened patches, shape (m, patch_dim);
+    a stack of images (..., size, size) gives (..., m, patch_dim)."""
     rows, cols = cfg.patch_grid
     ph, pw = cfg.patch_shape
-    patches = image.reshape(rows, ph, cols, pw).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(patches.reshape(cfg.num_patches, ph * pw))
+    lead = image.shape[:-2]
+    patches = image.reshape(*lead, rows, ph, cols, pw).swapaxes(-3, -2)
+    return np.ascontiguousarray(
+        patches.reshape(*lead, cfg.num_patches, ph * pw))
 
 
 def embed_image(image, cfg: ModelConfig, state: EncoderState):
-    """Pixels -> (stored class token, linear patch embeddings)."""
+    """Pixels -> (stored class token, linear patch embeddings).
+
+    One ``(size, size)`` image gives ``(d,)`` and ``(m, d)``; a batch
+    ``(B, size, size)`` gives ``(B, d)`` and ``(B, m, d)``.
+    """
     image = np.asarray(image, dtype=np.float64)
-    if image.shape != (cfg.image_size, cfg.image_size):
+    if image.ndim not in (2, 3) or \
+            image.shape[-2:] != (cfg.image_size, cfg.image_size):
         raise ValueError(
             f"image shape {image.shape} does not match configured size "
             f"{cfg.image_size}")
     embeddings = patchify(image, cfg) @ state.patch_embed.data + state.patch_bias.data
-    return Tensor(state.class_token.data.copy()), Tensor(embeddings)
+    cls = np.empty(image.shape[:-2] + state.class_token.shape)
+    cls[...] = state.class_token.data
+    return Tensor(cls), Tensor(embeddings)
 
 
 def embed_text(token_ids, cfg: ModelConfig, state: EncoderState):
@@ -377,6 +387,8 @@ def _layer_forward(h: Tensor, lw: LayerWeights, heads: int,
 
 @dataclass
 class ImageEncodeResult:
+    """Final-layer outputs; a batched encode adds a leading (B,) axis."""
+
     cls: Tensor                      # final class embedding, (d_v,)
     patches: Tensor                  # final patch embeddings, (m, d_v)
     prompts: Optional[Tensor]        # final prompt embeddings, (V, d_v) or None
@@ -394,14 +406,15 @@ def _run_layers(seq: Tensor, layers: list, prompt_blocks: list, num_prompts: int
                 cfg: ModelConfig, mask, start_layer: int = 0,
                 collect_attention: bool = False, capture_layer_input=None):
     """Shared deep-prompt loop: replace prompt slots with fresh parameters
-    for layers below prompt_depth, let outputs flow afterwards."""
-    n_keep = seq.shape[0] - num_prompts
+    for layers below prompt_depth, let outputs flow afterwards.  ``seq`` is
+    ``(n, d)`` or a stack ``(B, n, d)`` that shares each prompt block."""
+    n_keep = seq.shape[-2] - num_prompts
     attentions = [] if collect_attention else None
     captured = None
     h = seq
     for j in range(start_layer, cfg.depth):
         if j > start_layer and num_prompts > 0 and j < cfg.prompt_depth:
-            h = ad.concat([h[:n_keep], prompt_blocks[j]], axis=0)
+            h = ad.concat([h[..., :n_keep, :], prompt_blocks[j]], axis=-2)
         if capture_layer_input == j:
             captured = h.data.copy()
         h, weights = _layer_forward(h, layers[j], cfg.heads, mask)
@@ -414,17 +427,22 @@ def encode_image_prompted(class_token: Tensor, patch_embeddings: Tensor,
                           prompts: PromptSet, cfg: ModelConfig,
                           state: EncoderState, *, collect_attention: bool = False,
                           capture_layer_input=None) -> ImageEncodeResult:
+    """Prompted image forward of one image, or of a batch at once: with
+    ``class_token`` ``(B, d)`` and ``patch_embeddings`` ``(B, m, d)`` every
+    result gains a leading (B,) axis and the prompt blocks are shared."""
     m = cfg.num_patches
-    if patch_embeddings.shape != (m, cfg.visual_width):
+    lead = patch_embeddings.shape[:-2]
+    if patch_embeddings.shape[-2:] != (m, cfg.visual_width) or \
+            class_token.shape != lead + (cfg.visual_width,):
         raise ValueError("patch embeddings do not match config")
     num_prompts = cfg.visual_prompt_len
     if num_prompts > 0 and len(prompts.visual) != cfg.prompt_depth:
         raise ValueError("prompt set does not match prompt_depth")
-    parts = [ad.reshape(class_token, (1, cfg.visual_width)),
+    parts = [ad.reshape(class_token, (*lead, 1, cfg.visual_width)),
              patch_embeddings + state.pos_image]
     if num_prompts > 0:
         parts.append(prompts.visual[0])
-    seq = ad.concat(parts, axis=0)
+    seq = ad.concat(parts, axis=-2)
     total = 1 + m + num_prompts
     mask = None
     if cfg.mask_prompts and num_prompts > 0:
@@ -436,9 +454,9 @@ def encode_image_prompted(class_token: Tensor, patch_embeddings: Tensor,
         collect_attention=collect_attention,
         capture_layer_input=capture_layer_input)
     return ImageEncodeResult(
-        cls=h[0],
-        patches=h[1:1 + m],
-        prompts=h[1 + m:] if num_prompts > 0 else None,
+        cls=h[..., 0, :],
+        patches=h[..., 1:1 + m, :],
+        prompts=h[..., 1 + m:, :] if num_prompts > 0 else None,
         attentions=attentions,
         layer_input=captured,
     )
@@ -449,14 +467,15 @@ def encode_image_from_layer(layer_input: Tensor, start_layer: int,
                             state: EncoderState) -> ImageEncodeResult:
     """Resume the prompted image forward from a captured layer input."""
     m = cfg.num_patches
-    num_prompts = layer_input.shape[0] - 1 - m
+    num_prompts = layer_input.shape[-2] - 1 - m
     mask = None
     if cfg.mask_prompts and num_prompts > 0:
-        mask = build_prompt_mask(num_prompts, layer_input.shape[0])
+        mask = build_prompt_mask(num_prompts, layer_input.shape[-2])
     h, _, _ = _run_layers(layer_input, state.image_layers, prompts.visual,
                           num_prompts, cfg, mask, start_layer=start_layer)
-    return ImageEncodeResult(cls=h[0], patches=h[1:1 + m],
-                             prompts=h[1 + m:] if num_prompts > 0 else None)
+    return ImageEncodeResult(cls=h[..., 0, :], patches=h[..., 1:1 + m, :],
+                             prompts=h[..., 1 + m:, :] if num_prompts > 0
+                             else None)
 
 
 def encode_text_prompted(eos_token: Tensor, word_embeddings: Tensor,
@@ -484,13 +503,16 @@ def encode_text_prompted(eos_token: Tensor, word_embeddings: Tensor,
 # ----------------------------------------------------------- projections
 
 def l2_normalize(v: Tensor) -> Tensor:
-    if float(np.linalg.norm(v.data)) == 0.0:
+    """Scale every row (the last axis) to unit length."""
+    length = ad.norm(v, keepdims=True)
+    if not length.data.all():
         raise ValueError("degenerate vector")
-    return v / ad.norm(v)
+    return v / length
 
 
 def project_global(class_embedding: Tensor, state: EncoderState) -> Tensor:
-    """Class embedding -> unit vector in the shared space."""
+    """Class embedding (d_v,) or a batch (B, d_v) -> unit rows in the
+    shared space."""
     return l2_normalize(class_embedding @ state.img_proj)
 
 
@@ -499,9 +521,8 @@ def project_text(eos_embedding: Tensor, state: EncoderState) -> Tensor:
 
 
 def project_augmented(prompt_embeddings: Tensor, state: EncoderState) -> Tensor:
-    """Project every prompt output with the shared image projection."""
-    if prompt_embeddings is None or prompt_embeddings.shape[0] == 0:
+    """Project every prompt output, (V, d_v) or (B, V, d_v), with the shared
+    image projection to unit rows."""
+    if prompt_embeddings is None or prompt_embeddings.shape[-2] == 0:
         raise ValueError("augmented branch requires visual prompts")
-    rows = [l2_normalize(prompt_embeddings[i] @ state.img_proj)
-            for i in range(prompt_embeddings.shape[0])]
-    return ad.stack_rows(rows)
+    return l2_normalize(prompt_embeddings @ state.img_proj)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .datagen import atomic_open
 from .encoders import (EncoderState, ModelConfig, PromptSet, embed_image,
                        encode_image_from_layer, encode_image_prompted,
                        project_global)
@@ -226,12 +227,13 @@ def write_pgm(path, grid, maxval: int = 255) -> None:
         np.rint(grid / top * maxval).astype(int)
     lines = ["P2", f"{grid.shape[1]} {grid.shape[0]}", f"{maxval}"]
     lines += [" ".join(str(v) for v in row) for row in scaled]
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    """Header plus rows, replacing ``path`` only once every row is written."""
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:

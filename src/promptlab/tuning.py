@@ -23,6 +23,9 @@ from .encoders import (EncoderState, ModelConfig, PromptSet, _stream,
                        project_global, project_text)
 
 MOMENTUM = 0.9
+# images per graph-free encode in global_branch_accuracy: batching cuts the
+# per-image cost, while a whole split at once raises peak memory
+EVAL_CHUNK = 8
 
 
 @dataclass
@@ -90,7 +93,8 @@ def build_text_bank(class_names, prompts: PromptSet, cfg: ModelConfig,
 
 
 def vanilla_image_rep(image, cfg: ModelConfig, state: EncoderState) -> Tensor:
-    """Promptless global representation; detached constant."""
+    """Promptless global representation, (d,) or (B, d) for a batch of
+    images; detached constant."""
     vcfg = replace(cfg, visual_prompt_len=0)
     c0, E0 = embed_image(image, vcfg, state)
     res = encode_image_prompted(c0, E0, _EMPTY_PROMPTS, vcfg, state)
@@ -110,19 +114,28 @@ def forward_three_branch(image, prompts: PromptSet, cfg: ModelConfig,
 
 # ------------------------------------------------------------------ losses
 
-def _mean_scalars(scalars) -> Tensor:
-    total = scalars[0]
-    for s in scalars[1:]:
-        total = total + s
-    return total * (1.0 / len(scalars))
-
-
-def loss_ce(x_rep: Tensor, bank: TextBank, y: int, tau: float) -> Tensor:
-    """Cross entropy of cosine/tau logits against the prompted text bank."""
-    if not 0 <= int(y) < bank.n_classes:
+def _nll(logits: Tensor, y) -> Tensor:
+    """-log softmax picked at the labels: logits (C,) with an int label
+    give a scalar, logits (B, C) with (B,) labels give (B,) losses."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != logits.shape[:-1]:
+        raise ValueError("one label per row of logits expected")
+    if ((y < 0) | (y >= logits.shape[-1])).any():
         raise ValueError("class index out of range")
+    pick = int(y) if y.ndim == 0 else (np.arange(len(y)), y)
+    return -ad.log_softmax(logits)[pick]
+
+
+def loss_ce(x_rep: Tensor, bank: TextBank, y, tau: float) -> Tensor:
+    """Cross entropy of cosine/tau logits against the prompted text bank.
+
+    ``x_rep`` ``(d,)`` with an int ``y`` gives a scalar; a batch ``(B, d)``
+    with ``(B,)`` labels gives the ``(B,)`` per-image losses.
+    """
+    if x_rep.data.ndim > 1:
+        x_rep = ad.reshape(x_rep, (*x_rep.shape[:-1], 1, x_rep.shape[-1]))
     logits = ad.cosine_similarity(x_rep, bank.prompted) * (1.0 / tau)
-    return -ad.log_softmax(logits)[int(y)]
+    return _nll(logits, y)
 
 
 def loss_consistency(prompted: Tensor, vanilla: Tensor) -> Tensor:
@@ -132,20 +145,22 @@ def loss_consistency(prompted: Tensor, vanilla: Tensor) -> Tensor:
 def sim_augmented(aug_reps: Optional[Tensor], z: Tensor) -> Tensor:
     """Equal-weight mean of per-prompt cosine similarities to each text row.
 
-    ``aug_reps`` is ``(V, d)``; ``z`` is one row ``(d,)`` or a bank
-    ``(C, d)``, giving one similarity per row.
+    ``aug_reps`` is ``(V, d)``, or ``(B, V, d)`` for a batch; ``z`` is one
+    row ``(d,)`` or a bank ``(C, d)``, giving one similarity per row (per
+    image).
     """
-    if aug_reps is None or aug_reps.shape[0] == 0:
+    if aug_reps is None or aug_reps.shape[-2] == 0:
         raise ValueError("augmented branch requires visual prompts")
-    n_prompts, width = aug_reps.shape
-    per_prompt = ad.reshape(aug_reps, (n_prompts, 1, width))
-    return ad.mean(ad.cosine_similarity(per_prompt, z), axis=0)
+    *lead, n_prompts, width = aug_reps.shape
+    per_prompt = ad.reshape(aug_reps, (*lead, n_prompts, 1, width))
+    return ad.mean(ad.cosine_similarity(per_prompt, z), axis=-2)
 
 
-def loss_aug_single(aug_reps: Optional[Tensor], bank: TextBank, y: int,
+def loss_aug_single(aug_reps: Optional[Tensor], bank: TextBank, y,
                     tau: float) -> Tensor:
+    """Cross entropy of the augmented branch; batched like :func:`loss_ce`."""
     logits = sim_augmented(aug_reps, bank.prompted) * (1.0 / tau)
-    return -ad.log_softmax(logits)[int(y)]
+    return _nll(logits, y)
 
 
 def combine_global(ce, text, img, lambda1: float, lambda2: float):
@@ -158,41 +173,36 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
                    vanilla_reps=None, use_aug: bool = True) -> dict:
     """All loss terms of one batch as graph tensors, keyed by name.
 
-    ``use_aug=False`` drops the augmented term from the total (loss
-    ablation) without touching the prompt layout.
+    The whole batch is encoded in one ``(B, n, d)`` forward and every term
+    is the mean of its per-image (per-class for ``text``) values.
+    ``vanilla_reps`` holds the batch's promptless reps as ``(B, d)`` rows
+    (see :func:`vanilla_image_rep`).  ``use_aug=False`` drops the augmented
+    term from the total (loss ablation) without touching the prompt layout.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if bank is None:
         bank = build_text_bank(class_names, prompts, cfg, state)
     if vanilla_reps is None:
-        vanilla_reps = [vanilla_image_rep(img, cfg, state)
-                        for img in batch.images]
+        vanilla_reps = vanilla_image_rep(batch.images, cfg, state)
+    vanilla = ad.as_tensor(vanilla_reps)
+    if vanilla.shape[:-1] != (len(batch),):
+        raise ValueError("one vanilla rep per image expected")
     include_aug = use_aug and cfg.visual_prompt_len > 0
 
-    ce_terms, img_terms, aug_terms = [], [], []
-    for b in range(len(batch)):
-        c0, E0 = embed_image(batch.images[b], cfg, state)
-        res = encode_image_prompted(c0, E0, prompts, cfg, state)
-        x_p = project_global(res.cls, state)
-        y = int(batch.labels[b])
-        ce_terms.append(loss_ce(x_p, bank, y, cfg.temperature))
-        img_terms.append(loss_consistency(x_p, vanilla_reps[b]))
-        if include_aug:
-            aug = project_augmented(res.prompts, state)
-            aug_terms.append(loss_aug_single(aug, bank, y, cfg.temperature))
-
-    text_terms = [loss_consistency(bank.prompted[i], bank.vanilla[i])
-                  for i in range(bank.n_classes)]
-
-    ce = _mean_scalars(ce_terms)
-    text = _mean_scalars(text_terms)
-    img = _mean_scalars(img_terms)
+    c0, E0 = embed_image(batch.images, cfg, state)
+    res = encode_image_prompted(c0, E0, prompts, cfg, state)
+    x_p = project_global(res.cls, state)
+    tau = cfg.temperature
+    ce = ad.mean(loss_ce(x_p, bank, batch.labels, tau))
+    text = ad.mean(loss_consistency(bank.prompted, bank.vanilla))
+    img = ad.mean(loss_consistency(x_p, vanilla))
     glob = combine_global(ce, text, img, cfg.text_consistency_weight,
                           cfg.image_consistency_weight)
     out = {"ce": ce, "text": text, "img": img, "global": glob}
     if include_aug:
-        out["aug"] = _mean_scalars(aug_terms)
+        aug = project_augmented(res.prompts, state)
+        out["aug"] = ad.mean(loss_aug_single(aug, bank, batch.labels, tau))
         out["total"] = glob + out["aug"]
     else:
         out["aug"] = Tensor(np.asarray(0.0))
@@ -239,6 +249,9 @@ def train_step(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     params = prompts.parameters()
     grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
              for p in params]
+    for (name, _), g in zip(prompts.tensor_items(), grads):
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient in {name}")
     if optimizer is None:
         optimizer = SGDMomentum()
     new_values = optimizer.step([p.data for p in params], grads, lr)
@@ -268,18 +281,28 @@ class TrainResult:
 def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
                            cfg: ModelConfig, state: EncoderState,
                            vanilla_rows=None) -> float:
+    """Share of ``subset`` whose global branch picks the right class.
+
+    Scoring builds no graph: prompts enter as detached views, and images
+    are encoded ``EVAL_CHUNK`` at a time, each projected and scored on its
+    own so predictions match a one-image encode bit for bit.
+    """
     if len(subset) == 0:
         raise ValueError("empty evaluation subset")
-    bank = build_text_bank(class_names, prompts, cfg, state,
+    frozen = PromptSet([Tensor(t.data) for t in prompts.visual],
+                       [Tensor(t.data) for t in prompts.textual])
+    bank = build_text_bank(class_names, frozen, cfg, state,
                            vanilla_rows=vanilla_rows)
     bank_rows = bank.prompted.data
     correct = 0
-    for img, y in zip(subset.images, subset.labels):
-        c0, E0 = embed_image(img, cfg, state)
-        res = encode_image_prompted(c0, E0, prompts, cfg, state)
-        x = project_global(res.cls, state).data
-        if int(np.argmax(bank_rows @ x)) == int(y):
-            correct += 1
+    for start in range(0, len(subset), EVAL_CHUNK):
+        chunk = slice(start, start + EVAL_CHUNK)
+        c0, E0 = embed_image(subset.images[chunk], cfg, state)
+        res = encode_image_prompted(c0, E0, frozen, cfg, state)
+        for cls, y in zip(res.cls.data, subset.labels[chunk]):
+            x = project_global(Tensor(cls), state).data
+            if int(np.argmax(bank_rows @ x)) == int(y):
+                correct += 1
     return correct / len(subset)
 
 
@@ -297,7 +320,7 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
         raise ValueError("empty batch")
 
     vrows = vanilla_text_rows(class_names, cfg, state)
-    vreps = [vanilla_image_rep(img, cfg, state) for img in train_set.images]
+    vreps = vanilla_image_rep(train_set.images, cfg, state).data
     full = Batch.from_subset(train_set)
 
     def full_losses(p):
@@ -319,7 +342,7 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
             prompts, stats = train_step(
                 batch, prompts, cfg, state, lr, class_names,
                 optimizer=optimizer, vanilla_rows=vrows,
-                vanilla_reps=[vreps[i] for i in idx], use_aug=use_aug)
+                vanilla_reps=vreps[idx], use_aug=use_aug)
             for k in sums:
                 sums[k] += stats[k]
             count += 1

@@ -216,6 +216,32 @@ def test_masked_attention_rows_sum_to_one_over_unmasked():
     assert (w.data[:, mask] == 0.0).all()
 
 
+def test_masked_attention_batched_equals_per_slice():
+    q, k, v = (Tensor(RNG.normal(size=(3, 5, 4))) for _ in range(3))
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[3, 4] = mask[4, 3] = True
+    out, w = masked_attention(q, k, v, mask=mask, heads=2,
+                              return_weights=True)
+    assert out.shape == (3, 5, 4) and w.shape == (3, 2, 5, 5)
+    for b in range(3):
+        one, w1 = masked_attention(Tensor(q.data[b]), Tensor(k.data[b]),
+                                   Tensor(v.data[b]), mask=mask, heads=2,
+                                   return_weights=True)
+        assert np.array_equal(out.data[b], one.data)
+        assert np.array_equal(w.data[b], w1.data)
+
+
+def test_matmul_stacks_equal_per_slice_and_reject_mismatch():
+    a = Tensor(RNG.normal(size=(3, 5, 4)))
+    w = Tensor(RNG.normal(size=(4, 2)))
+    s = Tensor(RNG.normal(size=(3, 4, 6)))
+    for b in range(3):
+        assert np.array_equal((a @ w).data[b], a.data[b] @ w.data)
+        assert np.array_equal((a @ s).data[b], a.data[b] @ s.data[b])
+    with pytest.raises(ValueError, match="unsupported matmul shapes"):
+        ad.matmul(a, Tensor(RNG.normal(size=(2, 4, 6))))
+
+
 def test_masked_attention_head_divisibility():
     q, k, v = _rand_qkv(3, 6, 41)
     with pytest.raises(ValueError, match="not divisible"):
@@ -350,6 +376,12 @@ def _scenario(name, seed):
     if name == "matmul_33":
         a, b = t(2, 3, 4), t(2, 4, 3)
         return [a, b], lambda: ad.tsum(a @ b)
+    if name == "matmul_32":
+        a, b = t(2, 3, 4), t(4, 2)
+        return [a, b], lambda: ad.tsum(ad.tanh(a @ b))
+    if name == "matmul_44":
+        a, b = t(2, 2, 3, 4), t(2, 2, 4, 3)
+        return [a, b], lambda: ad.tsum(ad.tanh(a @ b))
     if name == "sum_axis":
         a = t(3, 5)
         return [a], lambda: ad.tsum(ad.tanh(ad.tsum(a, axis=1)))
@@ -363,6 +395,9 @@ def _scenario(name, seed):
     if name == "concat":
         a, b = t(2, 3), t(4, 3)
         return [a, b], lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=0)))
+    if name == "concat_broadcast":
+        a, b, w = t(2, 3, 4), t(2, 4), t(2, 5, 4)
+        return [a, b], lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=-2)) * w)
     if name == "getitem":
         a = t(5, 4)
         return [a], lambda: ad.tsum(a[1:4] * a[1:4])
@@ -387,15 +422,22 @@ def _scenario(name, seed):
         mask[1, 2] = mask[3, 0] = True
         return [q, k, v], lambda: ad.tsum(
             ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)))
+    if name == "attention_batched":
+        q, k, v = t(2, 4, 6), t(2, 4, 6), t(2, 4, 6)
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[1, 2] = mask[3, 0] = True
+        return [q, k, v], lambda: ad.tsum(
+            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)))
     raise KeyError(name)
 
 
 PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
     "tanh", "gelu", "power", "matmul_22", "matmul_21", "matmul_12",
-    "matmul_33", "sum_axis", "mean", "reshape_transpose", "concat",
-    "getitem", "stack", "softmax", "layer_norm", "cosine",
-    "cosine_broadcast", "attention",
+    "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
+    "reshape_transpose", "concat", "concat_broadcast", "getitem", "stack",
+    "softmax", "layer_norm", "cosine", "cosine_broadcast", "attention",
+    "attention_batched",
 ]
 
 

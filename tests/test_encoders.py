@@ -432,3 +432,53 @@ def test_resume_from_captured_layer_input():
     assert np.array_equal(resumed.cls.data, full.cls.data)
     assert np.array_equal(resumed.patches.data, full.patches.data)
     assert np.array_equal(resumed.prompts.data, full.prompts.data)
+
+
+# ---------------------------------------------------------------- batching
+
+@pytest.mark.parametrize("kw", [dict(depth=3), dict(depth=3, prompt_depth=1),
+                                dict(visual_prompt_len=0),
+                                dict(mask_prompts=False)])
+def test_batched_encode_slices_equal_single_image_encodes(kw):
+    cfg = small_cfg(**kw)
+    state = EncoderState.initialize(cfg, seed=27)
+    p = PromptSet.initialize(cfg, seed=28)
+    images = np.random.default_rng(16).uniform(size=(3, 4, 4))
+    last = cfg.depth - 1
+    c0, E0 = embed_image(images, cfg, state)
+    assert c0.shape == (3, 8) and E0.shape == (3, 4, 8)
+    batched = encode_image_prompted(c0, E0, p, cfg, state,
+                                    collect_attention=True,
+                                    capture_layer_input=last)
+    for b, image in enumerate(images):
+        c, E = embed_image(image, cfg, state)
+        assert np.array_equal(c0.data[b], c.data)
+        assert np.array_equal(E0.data[b], E.data)
+        one = encode_image_prompted(c, E, p, cfg, state,
+                                    collect_attention=True,
+                                    capture_layer_input=last)
+        assert np.array_equal(batched.cls.data[b], one.cls.data)
+        assert np.array_equal(batched.patches.data[b], one.patches.data)
+        assert np.array_equal(batched.layer_input[b], one.layer_input)
+        for wb, w in zip(batched.attentions, one.attentions):
+            assert np.array_equal(wb[b], w)
+        np.testing.assert_allclose(project_global(batched.cls, state).data[b],
+                                   project_global(one.cls, state).data,
+                                   rtol=0, atol=1e-14)
+        if cfg.visual_prompt_len:
+            assert np.array_equal(batched.prompts.data[b], one.prompts.data)
+            assert np.array_equal(
+                project_augmented(batched.prompts, state).data[b],
+                project_augmented(one.prompts, state).data)
+        else:
+            assert batched.prompts is None
+
+
+def test_l2_normalize_rejects_any_zero_row():
+    rows = np.random.default_rng(17).normal(size=(3, 4))
+    rows[1] = 0.0
+    with pytest.raises(ValueError, match="degenerate vector"):
+        enc.l2_normalize(Tensor(rows))
+    rows[1] = 1.0
+    out = enc.l2_normalize(Tensor(rows)).data
+    np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-15)

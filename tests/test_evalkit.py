@@ -420,3 +420,18 @@ def test_write_csv_round_trip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv_mod.reader(fh))
     assert rows == [["a", "b"], ["1", "2.5"], ["x", "-3"]]
+
+
+def test_write_csv_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [[1]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(path, ["a"], rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -8,6 +8,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import promptlab.autodiff as ad
 from oracle_helpers import (oracle_plain_image, oracle_plain_text,
@@ -229,6 +231,36 @@ def test_empty_batch_rejected():
         loss_aug_single(None, hand_bank(np.eye(2)), 0, tau=0.5)
 
 
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 4),
+       kw=st.sampled_from([{}, dict(visual_prompt_len=0),
+                           dict(depth=3, prompt_depth=1)]),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_losses_equal_mean_of_single_image_losses(n, kw, seed):
+    cfg = tuning_cfg(**kw)
+    state = EncoderState.initialize(cfg, seed=seed)
+    prompts = PromptSet.initialize(cfg, seed=seed + 1)
+    params = prompts.parameters()
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(size=(n, cfg.image_size, cfg.image_size))
+    labels = rng.integers(0, 2, size=n)
+    names = ["square", "ring"]
+
+    batched = compute_losses(Batch(images, labels), prompts, cfg, state, names)
+    ad.backward(batched["total"])
+    grads = [p.grad.copy() for p in params]
+    ad.zero_grads(params)
+    singles = [compute_losses(Batch(images[i:i + 1], labels[i:i + 1]),
+                              prompts, cfg, state, names) for i in range(n)]
+    for key, value in batched.items():
+        mean = sum(s[key].item() for s in singles) / n
+        assert abs(value.item() - mean) <= 1e-12 * max(1.0, abs(mean)), key
+    for s in singles:
+        ad.backward(s["total"] * (1.0 / n))
+    for p, g in zip(params, grads):
+        assert ad.max_relative_error(g, p.grad) < 1e-9
+
+
 # -------------------------------------------------------- three branches
 
 def test_vanilla_rep_is_prompt_independent_and_constant():
@@ -381,6 +413,29 @@ def test_train_step_reports_divergence():
     batch, names = tiny_task(cfg)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
         train_step(batch, prompts, cfg, state, 0.05, names)
+
+
+def test_train_step_rejects_non_finite_gradient(monkeypatch):
+    cfg = tuning_cfg()
+    state = EncoderState.initialize(cfg, seed=9)
+    prompts = PromptSet.initialize(cfg, seed=10)
+    batch, names = tiny_task(cfg)
+    opt = SGDMomentum()
+    prompts, _ = train_step(batch, prompts, cfg, state, 0.05, names,
+                            optimizer=opt)
+    velocity = [v.copy() for v in opt.velocity]
+    backward = ad.backward
+
+    def poisoned_backward(output):
+        record = backward(output)
+        prompts.textual[0].grad[0, 0] = np.nan
+        return record
+
+    monkeypatch.setattr(ad, "backward", poisoned_backward)
+    with pytest.raises(ValueError,
+                       match="non-finite gradient in textual_prompt_0"):
+        train_step(batch, prompts, cfg, state, 0.05, names, optimizer=opt)
+    assert all(np.array_equal(v, w) for v, w in zip(opt.velocity, velocity))
 
 
 # ------------------------------------------------------------- train loop
