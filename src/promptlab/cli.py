@@ -25,8 +25,8 @@ from .evalkit import (accuracy, binarize_map, extract_attention_map,
                       foreground_mass, gradcam_map, harmonic_mean,
                       mean_metrics, segmentation_metrics, upsample_nearest,
                       write_csv, write_pgm)
-from .tuning import (LOG_COLUMNS, build_text_bank, global_branch_accuracy,
-                     train)
+from .tuning import (EVAL_CHUNK, LOG_COLUMNS, build_text_bank,
+                     global_branch_accuracy, train)
 
 PROTOCOLS = ("base-to-novel", "cross-dataset", "segment", "ablate")
 STRATEGIES = ("equal", "confidence", "threshold")
@@ -227,9 +227,10 @@ def _hm_or_zero(a: float, b: float) -> float:
 
 
 def _predict_all(subset, prompts, mcfg, state, bank, strategy) -> float:
-    preds = [predict(img, prompts, mcfg, state, bank, strategy)
-             for img in subset.images]
-    return accuracy(preds, subset.labels)
+    preds = [predict(subset.images[start:start + EVAL_CHUNK], prompts, mcfg,
+                     state, bank, strategy)
+             for start in range(0, len(subset), EVAL_CHUNK)]
+    return accuracy(np.concatenate(preds), subset.labels)
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -270,8 +271,8 @@ def run_base_to_novel(cfg: ExperimentConfig) -> dict:
         base_eval = select_classes(ds, ds.base_classes)
     novel_eval = select_classes(ds, ds.novel_classes)
 
-    bank_b = build_text_bank(base_names, prompts, mcfg, state)
-    bank_n = build_text_bank(novel_names, prompts, mcfg, state)
+    bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)
+    bank_n = build_text_bank(novel_names, prompts.detached(), mcfg, state)
     gb = global_branch_accuracy(base_eval, base_names, prompts, mcfg, state)
     gn = global_branch_accuracy(novel_eval, novel_names, prompts, mcfg, state)
     rows = [["global-branch", gb, gn, _hm_or_zero(gb, gn)]]
@@ -306,7 +307,7 @@ def run_cross_dataset(cfg: ExperimentConfig) -> dict:
 
     def score(ds: SyntheticDataset) -> float:
         full = select_classes(ds, tuple(range(ds.n_classes)))
-        bank = build_text_bank(ds.class_names, prompts, mcfg, state)
+        bank = build_text_bank(ds.class_names, prompts.detached(), mcfg, state)
         return _predict_all(full, prompts, mcfg, state, bank, strategy)
 
     rows = [["source", cfg.data_seed, cfg.family_offset, score(source)]]
@@ -342,7 +343,7 @@ def run_segment(cfg: ExperimentConfig, dataset: SyntheticDataset = None) -> dict
     rows = []
     out = _outdir(cfg)
     for tag, prompts in (("untrained", prompts0), ("trained", result.prompts)):
-        bank = build_text_bank(base_names, prompts, mcfg, state)
+        bank = build_text_bank(base_names, prompts.detached(), mcfg, state)
         for token in tokens:
             per_image, masses = [], []
             for img, gt in zip(eval_set.images, gts):
@@ -457,8 +458,8 @@ def run_ablate(cfg: ExperimentConfig) -> dict:
             base_eval = select_classes(ds, ds.base_classes)
         novel_eval = select_classes(ds, ds.novel_classes)
         strategy = point.strategy or "equal"
-        bank_b = build_text_bank(base_names, prompts, mcfg, state)
-        bank_n = build_text_bank(novel_names, prompts, mcfg, state)
+        bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)
+        bank_n = build_text_bank(novel_names, prompts.detached(), mcfg, state)
         ab = _predict_all(base_eval, prompts, mcfg, state, bank_b, strategy)
         an = _predict_all(novel_eval, prompts, mcfg, state, bank_n, strategy)
         rows.append([axis, value, ab, an, _hm_or_zero(ab, an)])

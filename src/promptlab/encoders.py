@@ -119,9 +119,10 @@ class PromptSet:
     def parameters(self) -> list:
         return list(self.visual) + list(self.textual)
 
-    def copy(self) -> "PromptSet":
-        return PromptSet([Tensor(t.data.copy(), requires_grad=True) for t in self.visual],
-                         [Tensor(t.data.copy(), requires_grad=True) for t in self.textual])
+    def detached(self) -> "PromptSet":
+        """Constant views of the prompts; encoding them builds no graph."""
+        return PromptSet([Tensor(t.data) for t in self.visual],
+                         [Tensor(t.data) for t in self.textual])
 
     def tensor_items(self) -> list:
         items = [(f"visual_prompt_{i}", t) for i, t in enumerate(self.visual)]

@@ -71,7 +71,7 @@ def extract_attention_map(image, prompts: PromptSet, cfg: ModelConfig,
     tokens, head-averaged and renormalized to sum to 1."""
     row_idx = _selector_index(token_selector, cfg)
     c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, prompts, cfg, state,
+    res = encode_image_prompted(c0, E0, prompts.detached(), cfg, state,
                                 collect_attention=True)
     weights = res.attentions[-1].mean(axis=0)          # (n, n), heads merged
     m = cfg.num_patches
@@ -192,12 +192,14 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
                 state: EncoderState, bank, class_index=None) -> np.ndarray:
     """relu(sum_c w_c A_jc) over final-layer input patch activations A,
     with w_c the patch-mean gradient of the similarity score for the chosen
-    class (highest-scoring class when class_index is None)."""
+    class (highest-scoring class when class_index is None).  Only the
+    layer input receives a gradient: prompts and bank enter as constants."""
+    frozen = prompts.detached()
     c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, prompts, cfg, state,
+    res = encode_image_prompted(c0, E0, frozen, cfg, state,
                                 capture_layer_input=cfg.depth - 1)
     m = cfg.num_patches
-    rows = bank.prompted
+    rows = Tensor(bank.prompted.data)
     if class_index is None:
         x_p = project_global(res.cls, state)
         class_index = int(np.argmax(ad.cosine_similarity(x_p, rows).data))
@@ -205,7 +207,7 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
         raise ValueError("class index out of range")
 
     leaf = Tensor(res.layer_input, requires_grad=True)
-    resumed = encode_image_from_layer(leaf, cfg.depth - 1, prompts, cfg, state)
+    resumed = encode_image_from_layer(leaf, cfg.depth - 1, frozen, cfg, state)
     sim = ad.cosine_similarity(project_global(resumed.cls, state),
                                rows[int(class_index)])
     ad.backward(sim)

@@ -10,7 +10,7 @@ exploits by caching them once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .encoders import (EncoderState, ModelConfig, PromptSet, _stream,
                        project_global, project_text)
 
 MOMENTUM = 0.9
-# images per graph-free encode in global_branch_accuracy: batching cuts the
+# images per graph-free encode when scoring a split: batching cuts the
 # per-image cost, while a whole split at once raises peak memory
 EVAL_CHUNK = 8
 
@@ -49,9 +49,9 @@ class Batch:
 
 @dataclass
 class BranchOutputs:
-    global_rep: Tensor             # x_p, unit (d_shared,)
-    augmented_reps: Optional[Tensor]  # (V, d_shared) unit rows, None if V=0
-    vanilla_rep: Tensor            # x, unit (d_shared,), prompt-independent
+    global_rep: Tensor             # x_p, unit (..., d_shared)
+    augmented_reps: Optional[Tensor]  # (..., V, d_shared) unit, None if V=0
+    vanilla_rep: Tensor            # x, unit (..., d_shared), prompt-free
 
 
 @dataclass
@@ -94,17 +94,18 @@ def build_text_bank(class_names, prompts: PromptSet, cfg: ModelConfig,
 
 def vanilla_image_rep(image, cfg: ModelConfig, state: EncoderState) -> Tensor:
     """Promptless global representation, (d,) or (B, d) for a batch of
-    images; detached constant."""
+    images; a constant, since no learnable tensor enters the encode."""
     vcfg = replace(cfg, visual_prompt_len=0)
     c0, E0 = embed_image(image, vcfg, state)
     res = encode_image_prompted(c0, E0, _EMPTY_PROMPTS, vcfg, state)
-    return Tensor(project_global(res.cls, state).data.copy())
+    return project_global(res.cls, state)
 
 
 def forward_three_branch(image, prompts: PromptSet, cfg: ModelConfig,
                          state: EncoderState) -> BranchOutputs:
+    """Branch reps of one image or a ``(B, size, size)`` stack, as constants."""
     c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, prompts, cfg, state)
+    res = encode_image_prompted(c0, E0, prompts.detached(), cfg, state)
     x_p = project_global(res.cls, state)
     aug = project_augmented(res.prompts, state) \
         if cfg.visual_prompt_len > 0 else None
@@ -244,9 +245,9 @@ def train_step(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     total = losses["total"]
     if not np.isfinite(total.item()):
         raise ValueError("diverged")
-    ad.backward(total)
-
     params = prompts.parameters()
+    ad.zero_grads(params)    # the step's gradient only, not a caller's
+    ad.backward(total)
     grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
              for p in params]
     for (name, _), g in zip(prompts.tensor_items(), grads):
@@ -284,13 +285,11 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
     """Share of ``subset`` whose global branch picks the right class.
 
     Scoring builds no graph: prompts enter as detached views, and images
-    are encoded ``EVAL_CHUNK`` at a time, each projected and scored on its
-    own so predictions match a one-image encode bit for bit.
+    are encoded, projected and scored ``EVAL_CHUNK`` at a time.
     """
     if len(subset) == 0:
         raise ValueError("empty evaluation subset")
-    frozen = PromptSet([Tensor(t.data) for t in prompts.visual],
-                       [Tensor(t.data) for t in prompts.textual])
+    frozen = prompts.detached()
     bank = build_text_bank(class_names, frozen, cfg, state,
                            vanilla_rows=vanilla_rows)
     bank_rows = bank.prompted.data
@@ -299,16 +298,15 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
         chunk = slice(start, start + EVAL_CHUNK)
         c0, E0 = embed_image(subset.images[chunk], cfg, state)
         res = encode_image_prompted(c0, E0, frozen, cfg, state)
-        for cls, y in zip(res.cls.data, subset.labels[chunk]):
-            x = project_global(Tensor(cls), state).data
-            if int(np.argmax(bank_rows @ x)) == int(y):
-                correct += 1
+        x = project_global(res.cls, state).data
+        preds = np.argmax(x @ bank_rows.T, axis=-1)
+        correct += int((preds == subset.labels[chunk]).sum())
     return correct / len(subset)
 
 
 def train(train_set: Subset, class_names, prompts: PromptSet,
           cfg: ModelConfig, state: EncoderState, *, epochs: int,
-          batch_size: int, lr: float, seed: int, eval_fn: Callable = None,
+          batch_size: int, lr: float, seed: int,
           use_aug: bool = True) -> TrainResult:
     """Epoch loop over shuffled minibatches with per-epoch CSV-ready rows."""
     if epochs < 1 or batch_size < 1:
@@ -347,11 +345,8 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
                 sums[k] += stats[k]
             count += 1
             steps += 1
-        if eval_fn is not None:
-            acc = float(eval_fn(prompts))
-        else:
-            acc = global_branch_accuracy(train_set, class_names, prompts,
-                                         cfg, state, vanilla_rows=vrows)
+        acc = global_branch_accuracy(train_set, class_names, prompts, cfg,
+                                     state, vanilla_rows=vrows)
         rows.append({
             "epoch": epoch,
             "loss_total": sums["total"] / count,

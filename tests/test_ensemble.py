@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from promptlab.autodiff import Tensor
+from promptlab.datagen import generate_dataset, sample_few_shot
 from promptlab.encoders import EncoderState, ModelConfig, PromptSet
 from promptlab.ensemble import (BranchLogits, branch_confidences,
                                 branch_logits, ensemble_confidence,
                                 ensemble_equal, ensemble_threshold, predict,
                                 resolve_strategy, three_branch_logits)
+from promptlab.evalkit import extract_attention_map, gradcam_map
 from promptlab.tuning import (TextBank, build_text_bank, forward_three_branch,
-                              loss_ce, sim_augmented)
+                              global_branch_accuracy, loss_ce, sim_augmented)
 
 
 def mk(g, a, v, tau=1.0):
@@ -192,6 +194,33 @@ def test_threshold_default_is_point_eight():
                           ensemble_threshold(lg, theta=0.8))
 
 
+# ------------------------------------------------------------- batching
+
+def threshold_oracle(lg, theta):
+    """The per-image rule: mean of the branches above theta, else equal."""
+    vecs = lg.present()
+    kept = [v for v in vecs if softmax_oracle(v).max() > theta]
+    return np.mean(kept or vecs, axis=0)
+
+
+@pytest.mark.parametrize("with_aug", [True, False])
+def test_ensembles_on_a_batch_equal_row_by_row_calls(with_aug):
+    rng = np.random.default_rng(6)
+    g, a, v = (2.0 * rng.normal(size=(40, 3)) for _ in range(3))
+    batch = mk(g, a if with_aug else None, v)
+    rows = [mk(g[i], a[i] if with_aug else None, v[i]) for i in range(40)]
+    passing = (branch_confidences(batch) > 0.8).any(axis=0)
+    assert passing.any() and not passing.all()   # kept rows and fallbacks
+    assert np.array_equal(branch_confidences(batch),
+                          np.stack([branch_confidences(r) for r in rows], 1))
+    for fn in (ensemble_equal, ensemble_confidence, ensemble_threshold,
+               resolve_strategy("threshold:0.6")):
+        assert np.array_equal(fn(batch), np.stack([fn(r) for r in rows]))
+    for theta in (0.8, 0.6):
+        want = np.stack([threshold_oracle(r, theta) for r in rows])
+        assert np.array_equal(ensemble_threshold(batch, theta), want)
+
+
 # --------------------------------------------------------- strategy lookup
 
 def test_resolve_strategy_names():
@@ -263,6 +292,43 @@ def test_predict_without_visual_prompts():
     assert out.augmented_reps is None
     for strategy in ("equal", "confidence", "threshold"):
         assert predict(image, prompts, cfg, state, bank, strategy) in (0, 1)
+
+
+@pytest.mark.parametrize("v", [0, 2])
+def test_predict_on_a_stack_equals_one_image_at_a_time(v):
+    cfg, state, prompts, bank, _ = setup_model(v)
+    rng = np.random.default_rng(9)
+    images = rng.uniform(size=(7, cfg.image_size, cfg.image_size))
+    for strategy in ("equal", "confidence", "threshold", "threshold:0.6"):
+        single = [predict(img, prompts, cfg, state, bank, strategy)
+                  for img in images]
+        assert all(type(p) is int for p in single)
+        batched = predict(images, prompts, cfg, state, bank, strategy)
+        assert batched.shape == (7,)
+        assert batched.tolist() == single
+
+
+def test_scoring_leaves_the_callers_prompts_alone():
+    cfg, state, prompts, _, image = setup_model()
+    ds = generate_dataset(2, 2, cfg.image_size, seed=3)
+    subset = sample_few_shot(ds, 2, (0, 1), seed=0)
+    names = [ds.class_names[c] for c in subset.class_list]
+    bank = build_text_bank(names, prompts, cfg, state)   # graph on prompts
+
+    out = forward_three_branch(image, prompts, cfg, state)
+    assert out.global_rep.is_constant and out.vanilla_rep.is_constant
+    assert out.augmented_reps.is_constant
+    calls = {
+        "predict": lambda: predict(image, prompts, cfg, state, bank),
+        "global_branch_accuracy": lambda: global_branch_accuracy(
+            subset, names, prompts, cfg, state),
+        "extract_attention_map": lambda: extract_attention_map(
+            image, prompts, cfg, state, "VP:1"),
+        "gradcam_map": lambda: gradcam_map(image, prompts, cfg, state, bank),
+    }
+    for name, call in calls.items():
+        call()
+        assert all(t.grad is None for t in prompts.parameters()), name
 
 
 def test_predict_tie_breaks_to_lowest_index():

@@ -405,6 +405,18 @@ def test_train_step_moves_prompts_not_state():
     assert state.to_bytes() == state_before
 
 
+def test_train_step_ignores_gradients_the_prompts_carry():
+    # the first step leaves .grad on the prompts; the second must not add it
+    cfg = tuning_cfg()
+    state = EncoderState.initialize(cfg, seed=9)
+    prompts = PromptSet.initialize(cfg, seed=10)
+    batch, names = tiny_task(cfg)
+    first, stats_first = train_step(batch, prompts, cfg, state, 0.05, names)
+    second, stats_second = train_step(batch, prompts, cfg, state, 0.05, names)
+    assert second.to_bytes() == first.to_bytes()
+    assert stats_second == stats_first
+
+
 def test_train_step_reports_divergence():
     cfg = tuning_cfg()
     state = EncoderState.initialize(cfg, seed=9)
@@ -460,18 +472,6 @@ def test_train_rows_and_determinism():
     assert a.log_rows == b.log_rows
     assert a.prompts.to_bytes() == b.prompts.to_bytes()
     assert a.initial == b.initial and a.final == b.final
-
-
-def test_train_uses_eval_callback():
-    cfg = tuning_cfg()
-    state = EncoderState.initialize(cfg, seed=14)
-    ds = generate_dataset(2, 2, cfg.image_size, seed=15)
-    sub = sample_few_shot(ds, 2, (0, 1), seed=0)
-    names = [ds.class_names[c] for c in sub.class_list]
-    res = train(sub, names, PromptSet.initialize(cfg, seed=16), cfg, state,
-                epochs=1, batch_size=4, lr=0.0, seed=17,
-                eval_fn=lambda p: 0.125)
-    assert res.log_rows[0]["base_accuracy"] == 0.125
 
 
 def test_global_branch_accuracy_bounds():
