@@ -33,7 +33,7 @@ print(f"loss = {loss.item():.6f}")
 
 # Reverse pass: populates .grad on every tensor that requires it.
 record = ad.backward(loss)
-print(f"recorded primitives behind the loss: {len(record.operations)}")
+print(f"recorded primitives behind the loss: {len(record)}")
 
 # The built-in oracle re-evaluates the forward pass 2*numel times per leaf.
 params = [w, b, gamma, beta]

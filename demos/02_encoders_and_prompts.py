@@ -9,8 +9,8 @@ import numpy as np
 
 from promptlab.datagen import generate_dataset, tokenize_template
 from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
-                                build_prompt_mask, embed_image, embed_text,
-                                encode_image_prompted, encode_text_prompted)
+                                build_prompt_mask, encode_image_prompted,
+                                encode_text_prompted)
 from promptlab.tuning import forward_three_branch
 
 cfg = ModelConfig(visual_width=16, text_width=16, shared_width=8, depth=2,
@@ -23,7 +23,6 @@ ds = generate_dataset(n_classes=2, per_class=1, image_size=16, seed=0)
 image = ds.images[0]
 
 # Image tokens are laid out [class, 16 patches, 3 visual prompts].
-c0, E0 = embed_image(image, cfg, state)
 n = 1 + cfg.num_patches + cfg.visual_prompt_len
 print(f"image token count: 1 + {cfg.num_patches} + "
       f"{cfg.visual_prompt_len} = {n}")
@@ -36,7 +35,7 @@ print(f"class-token row masked anywhere: {bool(mask[0].any())}")
 
 # Deep insertion: every layer replaces the prompt rows with that layer's
 # own learned vectors, so prompts steer each block independently.
-res = encode_image_prompted(c0, E0, prompts, cfg, state,
+res = encode_image_prompted(image, prompts, cfg, state,
                             collect_attention=True)
 print(f"per-layer attention maps collected: {len(res.attentions)}, "
       f"each {res.attentions[0].shape} (heads, tokens, tokens)")
@@ -44,8 +43,7 @@ print(f"per-layer attention maps collected: {len(res.attentions)}, "
 # The text tower mirrors this with learned token prompts ahead of the
 # template words.
 ids = tokenize_template(ds.class_names[0])
-eos0, W0 = embed_text(ids, cfg, state)
-t = encode_text_prompted(eos0, W0, prompts, cfg, state)
+t = encode_text_prompted(ids, prompts, cfg, state)
 print(f"text rep for {ds.class_names[0]!r}: shape {t.eos.shape}")
 
 # One image, three representations: prompted global, per-prompt augmented,

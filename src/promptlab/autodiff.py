@@ -116,36 +116,25 @@ class OpNode:
         self.vjp = vjp
 
 
-class ComputationRecord:
-    """Topologically ordered non-leaf tensors behind one output."""
-
-    def __init__(self, tensors: list):
-        self.tensors = tensors
-
-    @property
-    def operations(self) -> list:
-        """The recorded primitives, in the same order as ``tensors``."""
-        return [t.node for t in self.tensors]
-
-    @classmethod
-    def trace(cls, output: Tensor) -> "ComputationRecord":
-        ordered: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(output, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if t.node is None:
-                continue
-            if expanded:
-                ordered.append(t)
-                continue
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            stack.append((t, True))
-            for parent in t.node.inputs:
-                stack.append((parent, False))
-        return cls(ordered)
+def _trace(output: Tensor) -> list:
+    """The non-leaf tensors behind ``output``, topologically ordered."""
+    ordered: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if t.node is None:
+            continue
+        if expanded:
+            ordered.append(t)
+            continue
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.append((t, True))
+        for parent in t.node.inputs:
+            stack.append((parent, False))
+    return ordered
 
 
 def as_tensor(x) -> Tensor:
@@ -499,17 +488,18 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
 
 # -- reverse pass ----------------------------------------------------------
 
-def backward(output: Tensor) -> ComputationRecord:
+def backward(output: Tensor) -> list:
     """Backpropagate from a scalar output, accumulating into ``.grad``.
 
     Every tensor in the graph with ``requires_grad`` receives (or
-    accumulates onto) its gradient.  Returns the traced record.
+    accumulates onto) its gradient.  Returns the traced non-leaf tensors
+    in topological order.
     """
     if output.data.size != 1:
         raise ValueError("backward requires scalar loss")
-    record = ComputationRecord.trace(output)
+    record = _trace(output)
     flowing: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    for t in reversed(record.tensors):
+    for t in reversed(record):
         g = flowing.pop(id(t), None)
         if g is None:
             continue
@@ -522,7 +512,7 @@ def backward(output: Tensor) -> ComputationRecord:
             flowing[key] = flowing[key] + pg if key in flowing else pg
     # whatever is left in flight belongs to leaves; accumulate additively
     index = {id(output): output}
-    for t in record.tensors:
+    for t in record:
         for parent in t.node.inputs:
             index[id(parent)] = parent
     for key, g in flowing.items():

@@ -33,11 +33,6 @@ STRATEGIES = ("equal", "confidence", "threshold")
 ABLATE_AXES = ("depth", "length", "loss", "ensemble")
 LOSS_VARIANTS = ("full", "no-aug", "no-consistency", "ce-only")
 
-# published run-level hyperparameter sets (kept for reference presets)
-PUBLISHED_BASE_TO_NOVEL = {"lr": 0.0016, "batch_size": 32, "epochs": 50,
-                       "text_prompt_len": 4, "visual_prompt_len": 32}
-PUBLISHED_CROSS_DATASET = {"lr": 0.05, "epochs": 10, "visual_prompt_len": 8}
-
 
 class ConfigError(ValueError):
     """Anything the user can fix by editing the config or flags."""
@@ -233,6 +228,12 @@ def _predict_all(subset, prompts, mcfg, state, bank, strategy) -> float:
     return accuracy(np.concatenate(preds), subset.labels)
 
 
+def _base_eval(ds: SyntheticDataset, train_set):
+    """Held-out base rows, else (shots == per_class) the training rows."""
+    rows = held_out(ds, train_set)
+    return rows if len(rows) else select_classes(ds, ds.base_classes)
+
+
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,9 +267,7 @@ def run_base_to_novel(cfg: ExperimentConfig) -> dict:
     prompts = result.prompts
     base_names = [ds.class_names[c] for c in ds.base_classes]
     novel_names = [ds.class_names[c] for c in ds.novel_classes]
-    base_eval = held_out(ds, train_set)
-    if len(base_eval) == 0:       # shots == per_class: no held-out rows
-        base_eval = select_classes(ds, ds.base_classes)
+    base_eval = _base_eval(ds, train_set)
     novel_eval = select_classes(ds, ds.novel_classes)
 
     bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)
@@ -334,9 +333,7 @@ def run_segment(cfg: ExperimentConfig, dataset: SyntheticDataset = None) -> dict
     state, prompts0, train_set, result = _train_run(cfg, mcfg, ds,
                                                     ds.base_classes)
     base_names = [ds.class_names[c] for c in ds.base_classes]
-    eval_set = held_out(ds, train_set)
-    if len(eval_set) == 0:
-        eval_set = select_classes(ds, ds.base_classes)
+    eval_set = _base_eval(ds, train_set)
     gts = ds.gt_masks[eval_set.indices]
 
     tokens = ["CLS"] + [f"VP:{i}" for i in range(cfg.visual_prompt_len)]
@@ -453,9 +450,7 @@ def run_ablate(cfg: ExperimentConfig) -> dict:
         prompts = result.prompts
         base_names = [ds.class_names[c] for c in ds.base_classes]
         novel_names = [ds.class_names[c] for c in ds.novel_classes]
-        base_eval = held_out(ds, train_set)
-        if len(base_eval) == 0:
-            base_eval = select_classes(ds, ds.base_classes)
+        base_eval = _base_eval(ds, train_set)
         novel_eval = select_classes(ds, ds.novel_classes)
         strategy = point.strategy or "equal"
         bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import EncoderState, ModelConfig, PromptSet, _stream
+from .encoders import (MAX_TEXT_LEN, EncoderState, ModelConfig, PromptSet,
+                       _stream)
 
 # ordered so small n_classes slices are maximally distinct; offset 4 yields
 # a disjoint family set for transfer targets
@@ -255,7 +256,7 @@ def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
     items = state.tensor_items() + prompts.tensor_items()
     header = {
         "config": cfg.to_dict(),
-        "max_text_len": state.max_text_len,
+        "max_text_len": MAX_TEXT_LEN,
         "tensors": [[name, list(t.shape)] for name, t in items],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -283,12 +284,11 @@ def load_checkpoint(path):
     try:
         header = json.loads(raw[16:16 + hlen].decode())
         cfg = ModelConfig.from_dict(header["config"])
-        max_text_len = int(header["max_text_len"])
         entries = [(str(n), tuple(s)) for n, s in header["tensors"]]
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError("corrupt checkpoint") from e
 
-    expected = dict(EncoderState.expected_shapes(cfg, max_text_len))
+    expected = dict(EncoderState.expected_shapes(cfg))
     expected.update(PromptSet.expected_shapes(cfg))
     if [n for n, _ in entries] != list(expected):
         raise ValueError("corrupt checkpoint")
@@ -308,6 +308,6 @@ def load_checkpoint(path):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).copy()
         offset += count * 8
-    state = EncoderState.from_tensors(cfg, tensors, max_text_len)
+    state = EncoderState.from_tensors(cfg, tensors)
     prompts = PromptSet.from_tensors(cfg, tensors)
     return cfg, state, prompts

@@ -20,7 +20,7 @@ from .autodiff import Tensor
 
 PROMPT_INIT_STD = 0.02  # zero-mean Gaussian for prompt initialization
 MLP_RATIO = 2  # hidden width of the feed-forward block, as a multiple of d
-DEFAULT_MAX_TEXT_LEN = 16
+MAX_TEXT_LEN = 16  # rows of the text positional table
 
 
 @dataclass(frozen=True)
@@ -225,21 +225,19 @@ class EncoderState:
     text_layers: list
     img_proj: Tensor
     text_proj: Tensor
-    max_text_len: int = DEFAULT_MAX_TEXT_LEN
 
     @classmethod
-    def initialize(cls, cfg: ModelConfig, seed: int,
-                   max_text_len: int = DEFAULT_MAX_TEXT_LEN) -> "EncoderState":
+    def initialize(cls, cfg: ModelConfig, seed: int) -> "EncoderState":
         g = _stream(seed, 100)
         pd = cfg.patch_dim
-        state = cls(
+        return cls(
             patch_embed=Tensor(g.normal(size=(pd, cfg.visual_width)) / np.sqrt(pd)),
             patch_bias=Tensor(np.zeros(cfg.visual_width)),
             class_token=Tensor(g.normal(size=cfg.visual_width)),
             pos_image=Tensor(0.5 * g.normal(size=(cfg.num_patches, cfg.visual_width))),
             token_table=Tensor(g.normal(size=(cfg.vocab_size, cfg.text_width))),
             eos_token=Tensor(g.normal(size=cfg.text_width)),
-            pos_text=Tensor(0.5 * g.normal(size=(max_text_len, cfg.text_width))),
+            pos_text=Tensor(0.5 * g.normal(size=(MAX_TEXT_LEN, cfg.text_width))),
             image_layers=[LayerWeights.initialize(cfg.visual_width, _stream(seed, 101, i))
                           for i in range(cfg.depth)],
             text_layers=[LayerWeights.initialize(cfg.text_width, _stream(seed, 102, i))
@@ -248,9 +246,7 @@ class EncoderState:
                             / np.sqrt(cfg.visual_width)),
             text_proj=Tensor(g.normal(size=(cfg.text_width, cfg.shared_width))
                              / np.sqrt(cfg.text_width)),
-            max_text_len=max_text_len,
         )
-        return state
 
     def tensor_items(self) -> list:
         items = [
@@ -270,8 +266,7 @@ class EncoderState:
         return b"".join(t.data.astype("<f8").tobytes() for _, t in self.tensor_items())
 
     @classmethod
-    def expected_shapes(cls, cfg: ModelConfig,
-                        max_text_len: int = DEFAULT_MAX_TEXT_LEN) -> dict:
+    def expected_shapes(cls, cfg: ModelConfig) -> dict:
         shapes = {
             "patch_embed": (cfg.patch_dim, cfg.visual_width),
             "patch_bias": (cfg.visual_width,),
@@ -279,7 +274,7 @@ class EncoderState:
             "pos_image": (cfg.num_patches, cfg.visual_width),
             "token_table": (cfg.vocab_size, cfg.text_width),
             "eos_token": (cfg.text_width,),
-            "pos_text": (max_text_len, cfg.text_width),
+            "pos_text": (MAX_TEXT_LEN, cfg.text_width),
         }
         for side, width in (("image", cfg.visual_width), ("text", cfg.text_width)):
             per_layer = LayerWeights.expected_shapes(width)
@@ -291,8 +286,7 @@ class EncoderState:
         return shapes
 
     @classmethod
-    def from_tensors(cls, cfg: ModelConfig, tensors: dict,
-                     max_text_len: int = DEFAULT_MAX_TEXT_LEN) -> "EncoderState":
+    def from_tensors(cls, cfg: ModelConfig, tensors: dict) -> "EncoderState":
         def t(name):
             return Tensor(np.array(tensors[name], dtype=np.float64))
 
@@ -308,7 +302,6 @@ class EncoderState:
             pos_text=t("pos_text"),
             image_layers=sides["image"], text_layers=sides["text"],
             img_proj=t("img_proj"), text_proj=t("text_proj"),
-            max_text_len=max_text_len,
         )
 
 
@@ -349,7 +342,7 @@ def embed_text(token_ids, cfg: ModelConfig, state: EncoderState):
     for i in ids:
         if not 0 <= int(i) < cfg.vocab_size:
             raise ValueError(f"token id {i} out of vocabulary")
-    if len(ids) > state.max_text_len:
+    if len(ids) > MAX_TEXT_LEN:
         raise ValueError("token sequence exceeds positional table")
     rows = state.token_table.data[np.asarray(ids, dtype=int)] if ids else \
         np.zeros((0, cfg.text_width))
@@ -403,100 +396,103 @@ class TextEncodeResult:
     attentions: Optional[list] = None
 
 
-def _run_layers(seq: Tensor, layers: list, prompt_blocks: list, num_prompts: int,
-                cfg: ModelConfig, mask, start_layer: int = 0,
+def _checked_blocks(blocks: list, length: int, width: int,
+                    cfg: ModelConfig) -> list:
+    """``blocks`` if they fit the config: none at all (the promptless
+    route), or ``prompt_depth`` blocks of shape ``(length, width)``."""
+    if blocks and (len(blocks) != cfg.prompt_depth or
+                   any(b.shape != (length, width) for b in blocks)):
+        raise ValueError(f"prompt set does not match the config: blocks "
+                         f"{[b.shape for b in blocks]}, expected none or "
+                         f"{cfg.prompt_depth} of {(length, width)}")
+    return blocks
+
+
+def _run_layers(h: Tensor, layers: list, blocks: list, heads: int,
+                mask=None, start_layer: int = 0,
                 collect_attention: bool = False, capture_layer_input=None):
-    """Shared deep-prompt loop: replace prompt slots with fresh parameters
-    for layers below prompt_depth, let outputs flow afterwards.  ``seq`` is
-    ``(n, d)`` or a stack ``(B, n, d)`` that shares each prompt block."""
-    n_keep = seq.shape[-2] - num_prompts
+    """Shared deep-prompt loop (VPT-deep): block ``j`` replaces the prompt
+    slots for ``start_layer < j < len(blocks)``, and the outputs flow on
+    after that.  ``h`` is ``(n, d)`` or a stack ``(B, n, d)`` that shares
+    each prompt block."""
+    n_keep = h.shape[-2] - (blocks[0].shape[0] if blocks else 0)
     attentions = [] if collect_attention else None
     captured = None
-    h = seq
-    for j in range(start_layer, cfg.depth):
-        if j > start_layer and num_prompts > 0 and j < cfg.prompt_depth:
-            h = ad.concat([h[..., :n_keep, :], prompt_blocks[j]], axis=-2)
+    for j in range(start_layer, len(layers)):
+        if start_layer < j < len(blocks):
+            h = ad.concat([h[..., :n_keep, :], blocks[j]], axis=-2)
         if capture_layer_input == j:
             captured = h.data.copy()
-        h, weights = _layer_forward(h, layers[j], cfg.heads, mask)
+        h, weights = _layer_forward(h, layers[j], heads, mask)
         if collect_attention:
             attentions.append(weights.data.copy())
     return h, attentions, captured
 
 
-def encode_image_prompted(class_token: Tensor, patch_embeddings: Tensor,
-                          prompts: PromptSet, cfg: ModelConfig,
-                          state: EncoderState, *, collect_attention: bool = False,
-                          capture_layer_input=None) -> ImageEncodeResult:
-    """Prompted image forward of one image, or of a batch at once: with
-    ``class_token`` ``(B, d)`` and ``patch_embeddings`` ``(B, m, d)`` every
-    result gains a leading (B,) axis and the prompt blocks are shared."""
+def _image_layers(seq: Tensor, start_layer: int, blocks: list,
+                  cfg: ModelConfig, state: EncoderState, *,
+                  collect_attention: bool = False,
+                  capture_layer_input=None) -> ImageEncodeResult:
+    """The image layer loop from ``start_layer`` on a ``[class | patches |
+    prompts]`` sequence whose prompt slots ``blocks`` decide."""
     m = cfg.num_patches
-    lead = patch_embeddings.shape[:-2]
-    if patch_embeddings.shape[-2:] != (m, cfg.visual_width) or \
-            class_token.shape != lead + (cfg.visual_width,):
-        raise ValueError("patch embeddings do not match config")
-    num_prompts = cfg.visual_prompt_len
-    if num_prompts > 0 and len(prompts.visual) != cfg.prompt_depth:
-        raise ValueError("prompt set does not match prompt_depth")
-    parts = [ad.reshape(class_token, (*lead, 1, cfg.visual_width)),
-             patch_embeddings + state.pos_image]
-    if num_prompts > 0:
-        parts.append(prompts.visual[0])
-    seq = ad.concat(parts, axis=-2)
-    total = 1 + m + num_prompts
-    mask = None
-    if cfg.mask_prompts and num_prompts > 0:
-        mask = build_prompt_mask(num_prompts, total)
-        if not mask.any():
-            mask = None
+    num_prompts = cfg.visual_prompt_len if blocks else 0
+    if seq.shape[-2:] != (1 + m + num_prompts, cfg.visual_width):
+        raise ValueError(f"layer input {seq.shape} does not match the config "
+                         f"and prompt set")
+    mask = build_prompt_mask(num_prompts, 1 + m + num_prompts) \
+        if cfg.mask_prompts and num_prompts else None
     h, attentions, captured = _run_layers(
-        seq, state.image_layers, prompts.visual, num_prompts, cfg, mask,
-        collect_attention=collect_attention,
+        seq, state.image_layers, blocks, cfg.heads, mask,
+        start_layer=start_layer, collect_attention=collect_attention,
         capture_layer_input=capture_layer_input)
     return ImageEncodeResult(
-        cls=h[..., 0, :],
-        patches=h[..., 1:1 + m, :],
-        prompts=h[..., 1 + m:, :] if num_prompts > 0 else None,
-        attentions=attentions,
-        layer_input=captured,
-    )
+        cls=h[..., 0, :], patches=h[..., 1:1 + m, :],
+        prompts=h[..., 1 + m:, :] if num_prompts else None,
+        attentions=attentions, layer_input=captured)
+
+
+def encode_image_prompted(image, prompts: PromptSet, cfg: ModelConfig,
+                          state: EncoderState, *, collect_attention: bool = False,
+                          capture_layer_input=None) -> ImageEncodeResult:
+    """Prompted image forward of one ``(size, size)`` image, or of a
+    ``(B, size, size)`` stack at once: every result then gains a leading
+    (B,) axis and the prompt blocks are shared.  An empty prompt set runs
+    the promptless (vanilla) route."""
+    blocks = _checked_blocks(prompts.visual, cfg.visual_prompt_len,
+                             cfg.visual_width, cfg)
+    class_token, patch_embeddings = embed_image(image, cfg, state)
+    lead = patch_embeddings.shape[:-2]
+    seq = ad.concat([ad.reshape(class_token, (*lead, 1, cfg.visual_width)),
+                     patch_embeddings + state.pos_image, *blocks[:1]], axis=-2)
+    return _image_layers(seq, 0, blocks, cfg, state,
+                         collect_attention=collect_attention,
+                         capture_layer_input=capture_layer_input)
 
 
 def encode_image_from_layer(layer_input: Tensor, start_layer: int,
                             prompts: PromptSet, cfg: ModelConfig,
                             state: EncoderState) -> ImageEncodeResult:
     """Resume the prompted image forward from a captured layer input."""
-    m = cfg.num_patches
-    num_prompts = layer_input.shape[-2] - 1 - m
-    mask = None
-    if cfg.mask_prompts and num_prompts > 0:
-        mask = build_prompt_mask(num_prompts, layer_input.shape[-2])
-    h, _, _ = _run_layers(layer_input, state.image_layers, prompts.visual,
-                          num_prompts, cfg, mask, start_layer=start_layer)
-    return ImageEncodeResult(cls=h[..., 0, :], patches=h[..., 1:1 + m, :],
-                             prompts=h[..., 1 + m:, :] if num_prompts > 0
-                             else None)
+    blocks = _checked_blocks(prompts.visual, cfg.visual_prompt_len,
+                             cfg.visual_width, cfg)
+    return _image_layers(layer_input, start_layer, blocks, cfg, state)
 
 
-def encode_text_prompted(eos_token: Tensor, word_embeddings: Tensor,
-                         prompts: PromptSet, cfg: ModelConfig,
+def encode_text_prompted(token_ids, prompts: PromptSet, cfg: ModelConfig,
                          state: EncoderState, *,
                          collect_attention: bool = False) -> TextEncodeResult:
+    """Prompted text forward of one token sequence; an empty prompt set
+    runs the promptless (vanilla) route."""
+    blocks = _checked_blocks(prompts.textual, cfg.text_prompt_len,
+                             cfg.text_width, cfg)
+    eos_token, word_embeddings = embed_text(token_ids, cfg, state)
     n = word_embeddings.shape[0]
-    if n > state.max_text_len:
-        raise ValueError("token sequence exceeds positional table")
-    num_prompts = cfg.text_prompt_len
-    if num_prompts > 0 and len(prompts.textual) != cfg.prompt_depth:
-        raise ValueError("prompt set does not match prompt_depth")
     parts = [ad.reshape(eos_token, (1, cfg.text_width))]
     if n > 0:
         parts.append(word_embeddings + Tensor(state.pos_text.data[:n]))
-    if num_prompts > 0:
-        parts.append(prompts.textual[0])
-    seq = ad.concat(parts, axis=0)
-    h, attentions, _ = _run_layers(seq, state.text_layers, prompts.textual,
-                                   num_prompts, cfg, mask=None,
+    seq = ad.concat([*parts, *blocks[:1]], axis=0)
+    h, attentions, _ = _run_layers(seq, state.text_layers, blocks, cfg.heads,
                                    collect_attention=collect_attention)
     return TextEncodeResult(eos=h[0], attentions=attentions)
 

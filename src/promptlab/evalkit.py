@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import atomic_open
-from .encoders import (EncoderState, ModelConfig, PromptSet, embed_image,
+from .encoders import (EncoderState, ModelConfig, PromptSet,
                        encode_image_from_layer, encode_image_prompted,
                        project_global)
 
@@ -70,8 +70,7 @@ def extract_attention_map(image, prompts: PromptSet, cfg: ModelConfig,
     """Final-layer attention of the selected query token over the patch
     tokens, head-averaged and renormalized to sum to 1."""
     row_idx = _selector_index(token_selector, cfg)
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, prompts.detached(), cfg, state,
+    res = encode_image_prompted(image, prompts.detached(), cfg, state,
                                 collect_attention=True)
     weights = res.attentions[-1].mean(axis=0)          # (n, n), heads merged
     m = cfg.num_patches
@@ -195,8 +194,7 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
     class (highest-scoring class when class_index is None).  Only the
     layer input receives a gradient: prompts and bank enter as constants."""
     frozen = prompts.detached()
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, frozen, cfg, state,
+    res = encode_image_prompted(image, frozen, cfg, state,
                                 capture_layer_input=cfg.depth - 1)
     m = cfg.num_patches
     rows = Tensor(bank.prompted.data)

@@ -9,7 +9,7 @@ exploits by caching them once per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,9 +18,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import Subset, tokenize_template
 from .encoders import (EncoderState, ModelConfig, PromptSet, _stream,
-                       embed_image, embed_text, encode_image_prompted,
-                       encode_text_prompted, project_augmented,
-                       project_global, project_text)
+                       encode_image_prompted, encode_text_prompted,
+                       project_augmented, project_global, project_text)
 
 MOMENTUM = 0.9
 # images per graph-free encode when scoring a split: batching cuts the
@@ -50,7 +49,7 @@ class Batch:
 @dataclass
 class BranchOutputs:
     global_rep: Tensor             # x_p, unit (..., d_shared)
-    augmented_reps: Optional[Tensor]  # (..., V, d_shared) unit, None if V=0
+    augmented_reps: Optional[Tensor]  # (..., V, d_shared) unit, None if no prompts
     vanilla_rep: Tensor            # x, unit (..., d_shared), prompt-free
 
 
@@ -70,16 +69,14 @@ _EMPTY_PROMPTS = PromptSet([], [])
 
 def _text_rep(name: str, prompts: PromptSet, cfg: ModelConfig,
               state: EncoderState) -> Tensor:
-    e0, W = embed_text(tokenize_template(name), cfg, state)
-    res = encode_text_prompted(e0, W, prompts, cfg, state)
+    res = encode_text_prompted(tokenize_template(name), prompts, cfg, state)
     return project_text(res.eos, state)
 
 
 def vanilla_text_rows(class_names, cfg: ModelConfig,
                       state: EncoderState) -> Tensor:
     """Promptless text bank rows; constant, safe to cache per run."""
-    vcfg = replace(cfg, text_prompt_len=0)
-    rows = [_text_rep(n, _EMPTY_PROMPTS, vcfg, state) for n in class_names]
+    rows = [_text_rep(n, _EMPTY_PROMPTS, cfg, state) for n in class_names]
     return Tensor(np.stack([r.data for r in rows]))
 
 
@@ -95,20 +92,16 @@ def build_text_bank(class_names, prompts: PromptSet, cfg: ModelConfig,
 def vanilla_image_rep(image, cfg: ModelConfig, state: EncoderState) -> Tensor:
     """Promptless global representation, (d,) or (B, d) for a batch of
     images; a constant, since no learnable tensor enters the encode."""
-    vcfg = replace(cfg, visual_prompt_len=0)
-    c0, E0 = embed_image(image, vcfg, state)
-    res = encode_image_prompted(c0, E0, _EMPTY_PROMPTS, vcfg, state)
+    res = encode_image_prompted(image, _EMPTY_PROMPTS, cfg, state)
     return project_global(res.cls, state)
 
 
 def forward_three_branch(image, prompts: PromptSet, cfg: ModelConfig,
                          state: EncoderState) -> BranchOutputs:
     """Branch reps of one image or a ``(B, size, size)`` stack, as constants."""
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, prompts.detached(), cfg, state)
+    res = encode_image_prompted(image, prompts.detached(), cfg, state)
     x_p = project_global(res.cls, state)
-    aug = project_augmented(res.prompts, state) \
-        if cfg.visual_prompt_len > 0 else None
+    aug = None if res.prompts is None else project_augmented(res.prompts, state)
     return BranchOutputs(global_rep=x_p, augmented_reps=aug,
                          vanilla_rep=vanilla_image_rep(image, cfg, state))
 
@@ -189,10 +182,8 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     vanilla = ad.as_tensor(vanilla_reps)
     if vanilla.shape[:-1] != (len(batch),):
         raise ValueError("one vanilla rep per image expected")
-    include_aug = use_aug and cfg.visual_prompt_len > 0
 
-    c0, E0 = embed_image(batch.images, cfg, state)
-    res = encode_image_prompted(c0, E0, prompts, cfg, state)
+    res = encode_image_prompted(batch.images, prompts, cfg, state)
     x_p = project_global(res.cls, state)
     tau = cfg.temperature
     ce = ad.mean(loss_ce(x_p, bank, batch.labels, tau))
@@ -201,7 +192,7 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     glob = combine_global(ce, text, img, cfg.text_consistency_weight,
                           cfg.image_consistency_weight)
     out = {"ce": ce, "text": text, "img": img, "global": glob}
-    if include_aug:
+    if use_aug and res.prompts is not None:
         aug = project_augmented(res.prompts, state)
         out["aug"] = ad.mean(loss_aug_single(aug, bank, batch.labels, tau))
         out["total"] = glob + out["aug"]
@@ -296,8 +287,7 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
     correct = 0
     for start in range(0, len(subset), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        c0, E0 = embed_image(subset.images[chunk], cfg, state)
-        res = encode_image_prompted(c0, E0, frozen, cfg, state)
+        res = encode_image_prompted(subset.images[chunk], frozen, cfg, state)
         x = project_global(res.cls, state).data
         preds = np.argmax(x @ bank_rows.T, axis=-1)
         correct += int((preds == subset.labels[chunk]).sum())

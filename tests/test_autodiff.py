@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from promptlab import autodiff as ad
 from promptlab.autodiff import (
-    ComputationRecord,
     Tensor,
     backward,
     cosine_similarity,
@@ -313,13 +312,13 @@ def test_grad_accumulates_across_backward_calls():
 def test_record_is_topologically_ordered():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = ad.tsum(ad.exp(x) * x)
-    record = ComputationRecord.trace(y)
+    operations = [t.node for t in backward(y)]
     seen = set()
-    for node in record.operations:
+    for node in operations:
         for parent in node.inputs:
             assert parent.node is None or id(parent.node) in seen
         seen.add(id(node))
-    assert len(seen) == len(record.operations)
+    assert len(seen) == len(operations)
 
 
 # ----------------------------------------------- per-primitive grad checks

@@ -47,13 +47,17 @@ def test_partial_config_falls_back_to_defaults(tmp_path):
 
 
 def test_dataclass_defaults_match_published_records():
-    # the PAPER_* dicts document the published run recipes; the dataclass
-    # defaults must not drift away from them
-    from promptlab.cli import PUBLISHED_BASE_TO_NOVEL, PUBLISHED_CROSS_DATASET
+    # the dataclass defaults are the published base-to-novel recipe and
+    # must not drift away from it; the cross-dataset recipe (README) sets
+    # fields that exist
+    published_base_to_novel = {"lr": 0.0016, "batch_size": 32, "epochs": 50,
+                               "text_prompt_len": 4, "visual_prompt_len": 32}
+    published_cross_dataset = {"lr": 0.05, "epochs": 10,
+                               "visual_prompt_len": 8}
     cfg = ExperimentConfig()
-    for key, val in PUBLISHED_BASE_TO_NOVEL.items():
+    for key, val in published_base_to_novel.items():
         assert getattr(cfg, key) == val, key
-    assert set(PUBLISHED_CROSS_DATASET) <= {f.name for f in fields(cfg)}
+    assert set(published_cross_dataset) <= {f.name for f in fields(cfg)}
 
 
 def test_config_rejects_unknown_and_malformed(tmp_path):

@@ -161,18 +161,59 @@ def test_empty_prompts_bit_identical_to_plain_transformer():
     g = np.random.default_rng(2)
     image = g.uniform(size=(4, 4))
 
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, p, cfg, state)
+    res = encode_image_prompted(image, p, cfg, state)
     plain = _oracle_plain_image(image, cfg, state)
     assert np.array_equal(res.cls.data, plain[0])
     assert np.array_equal(res.patches.data, plain[1:])
     assert res.prompts is None
 
     ids = [1, 3, 5]
-    e0, W = embed_text(ids, cfg, state)
-    tres = encode_text_prompted(e0, W, p, cfg, state)
+    tres = encode_text_prompted(ids, p, cfg, state)
     tplain = _oracle_plain_text(ids, cfg, state)
     assert np.array_equal(tres.eos.data, tplain[0])
+
+
+def test_empty_prompt_set_is_the_plain_route_under_a_prompted_config():
+    # the prompt set, not the config, decides the prompt slots
+    cfg = small_cfg(depth=3, visual_prompt_len=3, mask_prompts=True)
+    state = EncoderState.initialize(cfg, seed=21)
+    empty = PromptSet([], [])
+    image = np.random.default_rng(2).uniform(size=(4, 4))
+    res = encode_image_prompted(image, empty, cfg, state)
+    plain = _oracle_plain_image(image, cfg, state)
+    assert np.array_equal(res.cls.data, plain[0])
+    assert np.array_equal(res.patches.data, plain[1:])
+    assert res.prompts is None
+    ids = [1, 3, 5]
+    tres = encode_text_prompted(ids, empty, cfg, state)
+    assert np.array_equal(tres.eos.data, _oracle_plain_text(ids, cfg, state)[0])
+
+
+def _blocks(count, rows, width=8):
+    g = np.random.default_rng(30)
+    return [Tensor(0.02 * g.normal(size=(rows, width))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kw, count, rows", [
+    (dict(visual_prompt_len=2, text_prompt_len=2, mask_prompts=False), 2, 3),
+    (dict(visual_prompt_len=0, text_prompt_len=0), 2, 3),
+    (dict(), 1, 2),
+    (dict(), 3, 2),
+])
+def test_prompt_set_not_matching_the_config_is_rejected(kw, count, rows):
+    cfg = small_cfg(**kw)
+    state = EncoderState.initialize(cfg, seed=21)
+    image = np.random.default_rng(2).uniform(size=(4, 4))
+    with pytest.raises(ValueError, match="prompt set does not match"):
+        encode_image_prompted(image, PromptSet(_blocks(count, rows), []),
+                              cfg, state)
+    with pytest.raises(ValueError, match="prompt set does not match"):
+        encode_image_from_layer(Tensor(np.zeros((1 + 4 + rows, 8))), 1,
+                                PromptSet(_blocks(count, rows), []), cfg,
+                                state)
+    with pytest.raises(ValueError, match="prompt set does not match"):
+        encode_text_prompted([1, 2], PromptSet([], _blocks(count, rows)),
+                             cfg, state)
 
 
 def test_prompted_tokens_extend_plain_sequence_rows():
@@ -182,8 +223,8 @@ def test_prompted_tokens_extend_plain_sequence_rows():
     state = EncoderState.initialize(cfg, seed=21)
     p = PromptSet.initialize(cfg, seed=4)
     image = np.random.default_rng(3).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, p, cfg, state, capture_layer_input=0)
+    _, E0 = embed_image(image, cfg, state)
+    res = encode_image_prompted(image, p, cfg, state, capture_layer_input=0)
     first = res.layer_input
     assert first.shape == (1 + 4 + 2, 8)
     assert np.array_equal(first[0], state.class_token.data)
@@ -198,9 +239,8 @@ def test_replacement_feeds_fresh_parameters_each_layer():
     state = EncoderState.initialize(cfg, seed=8)
     p = PromptSet.initialize(cfg, seed=9)
     image = np.random.default_rng(1).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg, state)
     for j in range(3):
-        res = encode_image_prompted(c0, E0, p, cfg, state, capture_layer_input=j)
+        res = encode_image_prompted(image, p, cfg, state, capture_layer_input=j)
         assert np.array_equal(res.layer_input[-2:], p.visual[j].data)
 
 
@@ -210,8 +250,7 @@ def test_shallow_prompts_propagate_after_prompt_depth():
     p = PromptSet.initialize(cfg, seed=9)
     assert len(p.visual) == 1
     image = np.random.default_rng(1).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, p, cfg, state, capture_layer_input=1)
+    res = encode_image_prompted(image, p, cfg, state, capture_layer_input=1)
     # layer 1 sees transformer outputs in the prompt slots, not parameters
     assert not np.array_equal(res.layer_input[-2:], p.visual[0].data)
     assert res.prompts.shape == (2, 8)
@@ -224,8 +263,8 @@ def test_final_prompt_outputs_depend_on_image():
     g = np.random.default_rng(5)
     outs = []
     for _ in range(2):
-        c0, E0 = embed_image(g.uniform(size=(4, 4)), cfg, state)
-        outs.append(encode_image_prompted(c0, E0, p, cfg, state).prompts.data)
+        outs.append(encode_image_prompted(g.uniform(size=(4, 4)), p, cfg,
+                                          state).prompts.data)
     assert not np.array_equal(outs[0], outs[1])
 
 
@@ -247,8 +286,7 @@ def test_mask_blocks_cross_prompt_attention_in_every_layer():
     state = EncoderState.initialize(cfg, seed=13)
     p = PromptSet.initialize(cfg, seed=14)
     image = np.random.default_rng(6).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, p, cfg, state, collect_attention=True)
+    res = encode_image_prompted(image, p, cfg, state, collect_attention=True)
     start = 1 + cfg.num_patches
     for w in res.attentions:
         assert w.shape == (2, 8, 8)
@@ -272,9 +310,8 @@ def test_masking_changes_output_when_enabled():
     state = EncoderState.initialize(cfg_on, seed=13)
     p = PromptSet.initialize(cfg_on, seed=14)
     image = np.random.default_rng(6).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg_on, state)
-    on = encode_image_prompted(c0, E0, p, cfg_on, state)
-    off = encode_image_prompted(c0, E0, p, cfg_off, state)
+    on = encode_image_prompted(image, p, cfg_on, state)
+    off = encode_image_prompted(image, p, cfg_off, state)
     assert not np.array_equal(on.prompts.data, off.prompts.data)
     assert np.array_equal(on.cls.data, off.cls.data)
 
@@ -283,8 +320,8 @@ def test_masking_changes_output_when_enabled():
     cfg_on = small_cfg(mask_prompts=True, depth=2, prompt_depth=1)
     cfg_off = small_cfg(mask_prompts=False, depth=2, prompt_depth=1)
     p = PromptSet.initialize(cfg_on, seed=14)
-    on = encode_image_prompted(c0, E0, p, cfg_on, state)
-    off = encode_image_prompted(c0, E0, p, cfg_off, state)
+    on = encode_image_prompted(image, p, cfg_on, state)
+    off = encode_image_prompted(image, p, cfg_off, state)
     assert not np.array_equal(on.cls.data, off.cls.data)
 
 
@@ -295,9 +332,8 @@ def test_single_prompt_mask_is_noop_bitwise():
     state = EncoderState.initialize(cfg_on, seed=15)
     p = PromptSet.initialize(cfg_on, seed=16)
     image = np.random.default_rng(7).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg_on, state)
-    on = encode_image_prompted(c0, E0, p, cfg_on, state)
-    off = encode_image_prompted(c0, E0, p, cfg_off, state)
+    on = encode_image_prompted(image, p, cfg_on, state)
+    off = encode_image_prompted(image, p, cfg_off, state)
     assert np.array_equal(on.cls.data, off.cls.data)
     assert np.array_equal(on.prompts.data, off.prompts.data)
 
@@ -306,8 +342,7 @@ def test_text_encoder_is_unmasked():
     cfg = small_cfg()
     state = EncoderState.initialize(cfg, seed=17)
     p = PromptSet.initialize(cfg, seed=18)
-    e0, W = embed_text([1, 2], cfg, state)
-    res = encode_text_prompted(e0, W, p, cfg, state, collect_attention=True)
+    res = encode_text_prompted([1, 2], p, cfg, state, collect_attention=True)
     for w in res.attentions:
         assert (w > 0).all()
 
@@ -319,15 +354,13 @@ def test_projections_are_unit_norm():
     state = EncoderState.initialize(cfg, seed=19)
     p = PromptSet.initialize(cfg, seed=20)
     image = np.random.default_rng(8).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(c0, E0, p, cfg, state)
+    res = encode_image_prompted(image, p, cfg, state)
     x = project_global(res.cls, state)
     assert abs(np.linalg.norm(x.data) - 1.0) < 1e-12
     xa = project_augmented(res.prompts, state)
     assert xa.shape == (2, 4)
     np.testing.assert_allclose(np.linalg.norm(xa.data, axis=1), 1.0, atol=1e-12)
-    e0, W = embed_text([1], cfg, state)
-    z = project_text(encode_text_prompted(e0, W, p, cfg, state).eos, state)
+    z = project_text(encode_text_prompted([1], p, cfg, state).eos, state)
     assert abs(np.linalg.norm(z.data) - 1.0) < 1e-12
 
 
@@ -363,10 +396,8 @@ def test_projection_errors():
 # ---------------------------------------------------------------- gradients
 
 def _encoder_loss(cfg, state, prompts, image, ids, probe):
-    c0, E0 = embed_image(image, cfg, state)
-    ires = encode_image_prompted(c0, E0, prompts, cfg, state)
-    e0, W = embed_text(ids, cfg, state)
-    tres = encode_text_prompted(e0, W, prompts, cfg, state)
+    ires = encode_image_prompted(image, prompts, cfg, state)
+    tres = encode_text_prompted(ids, prompts, cfg, state)
     x = project_global(ires.cls, state)
     z = project_text(tres.eos, state)
     xa = project_augmented(ires.prompts, state)
@@ -423,9 +454,8 @@ def test_resume_from_captured_layer_input():
     state = EncoderState.initialize(cfg, seed=25)
     prompts = PromptSet.initialize(cfg, seed=26)
     image = np.random.default_rng(15).uniform(size=(4, 4))
-    c0, E0 = embed_image(image, cfg, state)
     last = cfg.depth - 1
-    full = encode_image_prompted(c0, E0, prompts, cfg, state,
+    full = encode_image_prompted(image, prompts, cfg, state,
                                  capture_layer_input=last)
     resumed = encode_image_from_layer(Tensor(full.layer_input.copy()), last,
                                       prompts, cfg, state)
@@ -447,14 +477,14 @@ def test_batched_encode_slices_equal_single_image_encodes(kw):
     last = cfg.depth - 1
     c0, E0 = embed_image(images, cfg, state)
     assert c0.shape == (3, 8) and E0.shape == (3, 4, 8)
-    batched = encode_image_prompted(c0, E0, p, cfg, state,
+    batched = encode_image_prompted(images, p, cfg, state,
                                     collect_attention=True,
                                     capture_layer_input=last)
     for b, image in enumerate(images):
         c, E = embed_image(image, cfg, state)
         assert np.array_equal(c0.data[b], c.data)
         assert np.array_equal(E0.data[b], E.data)
-        one = encode_image_prompted(c, E, p, cfg, state,
+        one = encode_image_prompted(image, p, cfg, state,
                                     collect_attention=True,
                                     capture_layer_input=last)
         assert np.array_equal(batched.cls.data[b], one.cls.data)

@@ -11,9 +11,8 @@ import promptlab.autodiff as ad
 from oracle_helpers import oracle_attention_weights, oracle_ln, patches_by_loop
 from promptlab.autodiff import Tensor
 from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
-                                build_prompt_mask, embed_image,
-                                encode_image_from_layer, encode_image_prompted,
-                                project_global)
+                                build_prompt_mask, encode_image_from_layer,
+                                encode_image_prompted, project_global)
 from promptlab.evalkit import (AttentionMap, SegmentationMetrics, accuracy,
                                average_precision, binarize_map,
                                extract_attention_map, foreground_mass,
@@ -336,8 +335,7 @@ def test_gradcam_deterministic_and_default_class():
     b = gradcam_map(image, prompts, GCFG, state, bank)
     assert np.array_equal(a, b)
     # default class = the highest-similarity class
-    res = encode_image_prompted(*embed_image(image, GCFG, state),
-                                prompts, GCFG, state)
+    res = encode_image_prompted(image, prompts, GCFG, state)
     x_p = project_global(res.cls, state)
     sims = [ad.cosine_similarity(x_p, bank.prompted[i]).item()
             for i in range(2)]
@@ -366,8 +364,7 @@ def test_gradcam_zero_when_last_layer_inert():
 def test_gradcam_channel_weights_match_finite_differences():
     state, prompts, bank = gradcam_setup(seed=3)
     image = small_image(8)
-    c0, E0 = embed_image(image, GCFG, state)
-    res = encode_image_prompted(c0, E0, prompts, GCFG, state,
+    res = encode_image_prompted(image, prompts, GCFG, state,
                                 capture_layer_input=GCFG.depth - 1)
     m = GCFG.num_patches
     target = bank.prompted[0]
