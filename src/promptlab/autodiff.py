@@ -260,10 +260,17 @@ def getitem(a, idx) -> Tensor:
     raw = a.data[idx]
     # Tensor storage promotes 0-d to (1,); scatter with the true shape
     raw_shape = np.shape(raw)
+    # ints, slices and Ellipsis pick each element at most once, so a view
+    # add scatters; advanced indices (arrays, bools) may repeat rows
+    basic = all(type(p) in (int, slice, type(...)) or isinstance(p, np.integer)
+                for p in (idx if isinstance(idx, tuple) else (idx,)))
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, np.reshape(g, raw_shape))
+        if basic:
+            full[idx] += np.reshape(g, raw_shape)
+        else:
+            np.add.at(full, idx, np.reshape(g, raw_shape))
         return (full,)
 
     return _make("getitem", np.ascontiguousarray(raw), (a,), vjp)

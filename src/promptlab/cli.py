@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -228,9 +229,12 @@ def _predict_all(subset, prompts, mcfg, state, bank, strategy) -> float:
     return accuracy(np.concatenate(preds), subset.labels)
 
 
-def _base_eval(ds: SyntheticDataset, train_set):
+def _base_eval(ds: SyntheticDataset, train_set, note: bool = True):
     """Held-out base rows, else (shots == per_class) the training rows."""
     rows = held_out(ds, train_set)
+    if not len(rows) and note:
+        print("note: no held-out base rows (shots == per_class); base "
+              "accuracy is scored on the training rows", file=sys.stderr)
     return rows if len(rows) else select_classes(ds, ds.base_classes)
 
 
@@ -450,7 +454,8 @@ def run_ablate(cfg: ExperimentConfig) -> dict:
         prompts = result.prompts
         base_names = [ds.class_names[c] for c in ds.base_classes]
         novel_names = [ds.class_names[c] for c in ds.novel_classes]
-        base_eval = _base_eval(ds, train_set)
+        # every point draws the same rows, so the first one notes for all
+        base_eval = _base_eval(ds, train_set, note=not rows)
         novel_eval = select_classes(ds, ds.novel_classes)
         strategy = point.strategy or "equal"
         bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)
@@ -536,7 +541,13 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # divergence and friends
-        print(f"runtime error: {e}", file=sys.stderr)
+        # name the innermost frame in this package (main's, at the least)
+        here = Path(__file__).parent
+        code = [f.f_code for f, _ in traceback.walk_tb(e.__traceback__)
+                if Path(f.f_code.co_filename).parent == here][-1]
+        print(f"runtime error: {e} ({type(e).__name__} in promptlab."
+              f"{Path(code.co_filename).stem}.{code.co_name})",
+              file=sys.stderr)
         return 2
 
     for row in report["rows"]:

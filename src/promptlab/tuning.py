@@ -120,16 +120,25 @@ def _nll(logits: Tensor, y) -> Tensor:
     return -ad.log_softmax(logits)[pick]
 
 
+def _n_correct(scores: np.ndarray, labels) -> int:
+    """How many rows of ``scores`` (one column per class) peak at the label."""
+    return int((np.argmax(scores, axis=-1) == labels).sum())
+
+
+def _ce_logits(x_rep: Tensor, bank: TextBank, tau: float) -> Tensor:
+    """cosine/tau logits: ``(C,)`` for one rep, ``(B, C)`` for a batch."""
+    if x_rep.data.ndim > 1:
+        x_rep = ad.reshape(x_rep, (*x_rep.shape[:-1], 1, x_rep.shape[-1]))
+    return ad.cosine_similarity(x_rep, bank.prompted) * (1.0 / tau)
+
+
 def loss_ce(x_rep: Tensor, bank: TextBank, y, tau: float) -> Tensor:
     """Cross entropy of cosine/tau logits against the prompted text bank.
 
     ``x_rep`` ``(d,)`` with an int ``y`` gives a scalar; a batch ``(B, d)``
     with ``(B,)`` labels gives the ``(B,)`` per-image losses.
     """
-    if x_rep.data.ndim > 1:
-        x_rep = ad.reshape(x_rep, (*x_rep.shape[:-1], 1, x_rep.shape[-1]))
-    logits = ad.cosine_similarity(x_rep, bank.prompted) * (1.0 / tau)
-    return _nll(logits, y)
+    return _nll(_ce_logits(x_rep, bank, tau), y)
 
 
 def loss_consistency(prompted: Tensor, vanilla: Tensor) -> Tensor:
@@ -165,7 +174,8 @@ def combine_global(ce, text, img, lambda1: float, lambda2: float):
 def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
                    state: EncoderState, class_names, *, bank: TextBank = None,
                    vanilla_reps=None, use_aug: bool = True) -> dict:
-    """All loss terms of one batch as graph tensors, keyed by name.
+    """All loss terms of one batch as graph tensors, keyed by name, and the
+    constant ``accuracy``: the share of rows whose CE logits peak at the label.
 
     The whole batch is encoded in one ``(B, n, d)`` forward and every term
     is the mean of its per-image (per-class for ``text``) values.
@@ -186,12 +196,14 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     res = encode_image_prompted(batch.images, prompts, cfg, state)
     x_p = project_global(res.cls, state)
     tau = cfg.temperature
-    ce = ad.mean(loss_ce(x_p, bank, batch.labels, tau))
+    logits = _ce_logits(x_p, bank, tau)
+    ce = ad.mean(_nll(logits, batch.labels))
     text = ad.mean(loss_consistency(bank.prompted, bank.vanilla))
     img = ad.mean(loss_consistency(x_p, vanilla))
     glob = combine_global(ce, text, img, cfg.text_consistency_weight,
                           cfg.image_consistency_weight)
-    out = {"ce": ce, "text": text, "img": img, "global": glob}
+    out = {"ce": ce, "text": text, "img": img, "global": glob, "accuracy":
+           Tensor(_n_correct(logits.data, batch.labels) / len(batch))}
     if use_aug and res.prompts is not None:
         aug = project_augmented(res.prompts, state)
         out["aug"] = ad.mean(loss_aug_single(aug, bank, batch.labels, tau))
@@ -289,8 +301,7 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
         chunk = slice(start, start + EVAL_CHUNK)
         res = encode_image_prompted(subset.images[chunk], frozen, cfg, state)
         x = project_global(res.cls, state).data
-        preds = np.argmax(x @ bank_rows.T, axis=-1)
-        correct += int((preds == subset.labels[chunk]).sum())
+        correct += _n_correct(x @ bank_rows.T, subset.labels[chunk])
     return correct / len(subset)
 
 
@@ -298,7 +309,9 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
           cfg: ModelConfig, state: EncoderState, *, epochs: int,
           batch_size: int, lr: float, seed: int,
           use_aug: bool = True) -> TrainResult:
-    """Epoch loop over shuffled minibatches with per-epoch CSV-ready rows."""
+    """Epoch loop over shuffled minibatches with per-epoch CSV-ready rows.
+    With one batch per epoch, an epoch's ``base_accuracy`` comes from the
+    next step's (or ``final``'s) scoring of the whole set under its prompts."""
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
     if lr < 0:
@@ -306,13 +319,14 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
     n = len(train_set)
     if n == 0:
         raise ValueError("empty batch")
+    one_step = n <= batch_size
 
     vrows = vanilla_text_rows(class_names, cfg, state)
     vreps = vanilla_image_rep(train_set.images, cfg, state).data
     full = Batch.from_subset(train_set)
 
     def full_losses(p):
-        losses = compute_losses(full, p, cfg, state, class_names,
+        losses = compute_losses(full, p.detached(), cfg, state, class_names,
                                 vanilla_reps=vreps, use_aug=use_aug)
         return {k: float(v.item()) for k, v in losses.items()}
 
@@ -331,21 +345,19 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
                 batch, prompts, cfg, state, lr, class_names,
                 optimizer=optimizer, vanilla_rows=vrows,
                 vanilla_reps=vreps[idx], use_aug=use_aug)
+            if one_step and rows:
+                rows[-1]["base_accuracy"] = stats["accuracy"]
             for k in sums:
                 sums[k] += stats[k]
             count += 1
             steps += 1
-        acc = global_branch_accuracy(train_set, class_names, prompts, cfg,
-                                     state, vanilla_rows=vrows)
-        rows.append({
-            "epoch": epoch,
-            "loss_total": sums["total"] / count,
-            "loss_ce": sums["ce"] / count,
-            "loss_text": sums["text"] / count,
-            "loss_img": sums["img"] / count,
-            "loss_aug": sums["aug"] / count,
-            "base_accuracy": acc,
-        })
+        acc = None if one_step else global_branch_accuracy(
+            train_set, class_names, prompts, cfg, state, vanilla_rows=vrows)
+        rows.append({"epoch": epoch,
+                     **{f"loss_{k}": v / count for k, v in sums.items()},
+                     "base_accuracy": acc})
     final = full_losses(prompts)
+    if one_step:
+        rows[-1]["base_accuracy"] = final["accuracy"]
     return TrainResult(prompts=prompts, log_rows=rows, initial=initial,
                        final=final, steps=steps)

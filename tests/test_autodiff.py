@@ -400,6 +400,15 @@ def _scenario(name, seed):
     if name == "getitem":
         a = t(5, 4)
         return [a], lambda: ad.tsum(a[1:4] * a[1:4])
+    if name == "getitem_basic":
+        a, w = t(3, 4, 5), t(2, 4)
+        return [a], lambda: ad.tsum(ad.tanh(a[..., 1:3]) * a[0, ..., 3:]) + (
+            ad.tsum(a[1, :, -1] * a[2, :, 0]) + ad.tsum(a[:2, 0, 0] * w[:, 0]))
+    if name == "getitem_repeat":
+        a = t(4, 3)
+        pick = (np.array([0, 2, 0, 3, 0]), np.array([1, 1, 1, 0, 2]))
+        return [a], lambda: ad.tsum(ad.tanh(a[[0, 0, 3]]) * 1.5) + ad.tsum(
+            a[pick] * a[pick])
     if name == "stack":
         a, b = t(4), t(4)
         return [a, b], lambda: ad.tsum(ad.tanh(ad.stack_rows([a, b, a])))
@@ -434,7 +443,8 @@ PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
     "tanh", "gelu", "power", "matmul_22", "matmul_21", "matmul_12",
     "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
-    "reshape_transpose", "concat", "concat_broadcast", "getitem", "stack",
+    "reshape_transpose", "concat", "concat_broadcast", "getitem",
+    "getitem_basic", "getitem_repeat", "stack",
     "softmax", "layer_norm", "cosine", "cosine_broadcast", "attention",
     "attention_batched",
 ]
@@ -451,6 +461,55 @@ def test_primitive_gradients_match_finite_differences(name):
         fd = finite_difference_gradient(lambda: make_loss().item(), params)
         for p, g in zip(params, fd):
             assert max_relative_error(p.grad, g) < 1e-4, name
+
+
+def _add_at_cotangent(a, idx, g):
+    """The reference scatter: ``np.add.at`` of ``g`` into zeros like ``a``."""
+    full = np.zeros_like(a.data)
+    np.add.at(full, idx, np.reshape(g, np.shape(a.data[idx])))
+    return full
+
+
+@pytest.mark.parametrize("idx", [
+    (slice(None), slice(1, 26)), (Ellipsis, 0), 3, -1, np.int64(2),
+    (0, slice(2, 5), -1), (Ellipsis, slice(None, None, -2)),
+    (1, Ellipsis, slice(3, 4))],
+    ids=["slices", "ellipsis_int", "int", "negative_int", "numpy_int",
+         "mixed_tuple", "ellipsis_step", "int_ellipsis_slice"])
+def test_getitem_basic_index_scatter_equals_add_at_bitwise(idx):
+    a = Tensor(RNG.normal(size=(4, 29, 6)), requires_grad=True)
+    out = a[idx]
+    g = RNG.normal(size=out.shape)
+    g.flat[::3] = -0.0                    # signed zeros must survive too
+    (got,) = out.node.vjp(g)
+    want = _add_at_cotangent(a, idx, g)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_getitem_scalar_element_scatter():
+    a = Tensor(RNG.normal(size=5), requires_grad=True)
+    out = a[2]                            # stored as (1,), scattered as ()
+    backward(ad.tsum(out * 3.0))
+    assert a.grad.tolist() == [0.0, 0.0, 3.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("idx", [
+    [0, 2, 0, 0], np.array([1, 1]), (np.array([0, 1, 0]), np.array([2, 2, 2])),
+    (slice(None), [3, 3]), np.array([True, False, True, False])],
+    ids=["list_repeats", "array_repeats", "pair_repeats", "slice_list",
+         "bool_mask"])
+def test_getitem_advanced_index_accumulates_repeats(idx):
+    a = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
+    out = a[idx]
+    g = RNG.normal(size=out.shape)
+    (got,) = out.node.vjp(g)
+    assert np.array_equal(got, _add_at_cotangent(a, idx, g))
+    backward(ad.tsum(a[idx]))
+    counts = np.zeros(a.shape)
+    np.add.at(counts, idx, 1.0)
+    assert np.array_equal(a.grad, counts)
+    assert counts.max() >= 1
 
 
 @pytest.mark.parametrize("reduce", [ad.tsum, ad.mean])

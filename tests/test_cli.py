@@ -250,6 +250,23 @@ def test_ablate_ensemble_axis_trains_once(tmp_path, monkeypatch):
     assert len(calls) == 1      # deterministic retrains are shared
 
 
+NOTE = ("note: no held-out base rows (shots == per_class); base accuracy "
+        "is scored on the training rows\n")
+
+
+def test_training_row_fallback_is_noted_on_stderr(tmp_path, capsys):
+    run_base_to_novel(tiny(out=str(tmp_path / "held")))
+    run_segment(tiny(out=str(tmp_path / "seg"), epochs=1))
+    assert "note:" not in capsys.readouterr().err
+    full = dict(shots=4, per_class=4)
+    run_base_to_novel(tiny(out=str(tmp_path / "b2n"), **full))
+    assert capsys.readouterr().err == NOTE
+    run_segment(tiny(out=str(tmp_path / "s"), epochs=1, **full))
+    assert capsys.readouterr().err == NOTE
+    run_ablate(tiny(out=str(tmp_path / "abl"), ablate_axis="depth", **full))
+    assert capsys.readouterr().err == NOTE      # once for the whole sweep
+
+
 def test_ablate_rejects_illegal_values(tmp_path):
     with pytest.raises(ConfigError, match="outside"):
         run_ablate(tiny(ablate_axis="depth", ablate_values=("5",)))
@@ -302,6 +319,39 @@ def test_main_runtime_failures_exit_2(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.RUNNERS, "base-to-novel", boom)
     ini = write_tiny_ini(tmp_path)
     assert main(["train", "--config", ini]) == 2
+
+
+def test_main_runtime_error_names_type_and_innermost_frame(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    import promptlab.autodiff as ad
+    import promptlab.tuning as tuning
+    ini = write_tiny_ini(tmp_path)
+
+    def diverging_step(*args, **kw):      # not a promptlab frame
+        raise ValueError("diverged")
+
+    monkeypatch.setattr(tuning, "train_step", diverging_step)
+    assert main(["train", "--config", ini, "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: diverged (ValueError in promptlab.tuning.train)\n")
+    monkeypatch.undo()
+
+    real_backward = ad.backward
+
+    def nan_backward(output):
+        record = real_backward(output)
+        for t in record:                  # poison the leaves' gradients
+            for leaf in t.node.inputs:
+                if leaf.grad is not None:
+                    leaf.grad[...] = np.nan
+        return record
+
+    monkeypatch.setattr(ad, "backward", nan_backward)
+    assert main(["train", "--config", ini, "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: non-finite gradient in ")
+    assert err.endswith(" (ValueError in promptlab.tuning.train_step)\n")
 
 
 def test_main_help_exits_zero():

@@ -474,6 +474,84 @@ def test_train_rows_and_determinism():
     assert a.initial == b.initial and a.final == b.final
 
 
+def accuracy_task(per_class=6, shots=4):
+    cfg = tuning_cfg()
+    state = EncoderState.initialize(cfg, seed=14)
+    ds = generate_dataset(2, per_class, cfg.image_size, seed=15)
+    sub = sample_few_shot(ds, shots, (0, 1), seed=0)
+    names = [ds.class_names[c] for c in sub.class_list]
+    return cfg, state, sub, names
+
+
+@pytest.mark.parametrize("batch_size,lr", [(8, 3e-5), (12, 3e-5), (3, 1e-5)],
+                         ids=["one_step", "one_short_batch", "multi_step"])
+def test_epoch_accuracy_scores_the_prompts_each_epoch_ends_with(batch_size,
+                                                                lr):
+    # small steps that still flip predictions: accuracy moves 0.125 -> 0.5
+    cfg, state, sub, names = accuracy_task()
+    epochs = 4
+
+    def run(e):
+        return train(sub, names, PromptSet.initialize(cfg, seed=1), cfg,
+                     state, epochs=e, batch_size=batch_size, lr=lr, seed=17)
+
+    rows = run(epochs).log_rows
+    assert len({r["base_accuracy"] for r in rows}) > 1
+    for e in range(epochs):
+        want = global_branch_accuracy(sub, names, run(e + 1).prompts, cfg,
+                                      state)
+        assert rows[e]["base_accuracy"] == want, e
+
+
+@pytest.mark.parametrize("batch_size,evals", [(8, 0), (100, 0), (3, 3)])
+def test_standalone_epoch_evals_only_in_multi_step_epochs(monkeypatch,
+                                                          batch_size, evals):
+    import promptlab.tuning as tuning
+    cfg, state, sub, names = accuracy_task()
+    calls = {"eval": 0, "step": 0}
+    real_eval, real_step = tuning.global_branch_accuracy, tuning.train_step
+
+    def counting_eval(*args, **kw):
+        calls["eval"] += 1
+        return real_eval(*args, **kw)
+
+    def counting_step(*args, **kw):
+        calls["step"] += 1
+        return real_step(*args, **kw)
+
+    monkeypatch.setattr(tuning, "global_branch_accuracy", counting_eval)
+    monkeypatch.setattr(tuning, "train_step", counting_step)
+    result = train(sub, names, PromptSet.initialize(cfg, seed=16), cfg,
+                   state, epochs=3, batch_size=batch_size, lr=0.5, seed=17)
+    assert calls["eval"] == evals
+    # the loop reaches train_step through the module global
+    assert calls["step"] == result.steps == 3 * -(-len(sub) // batch_size)
+    assert all(0.0 <= r["base_accuracy"] <= 1.0 for r in result.log_rows)
+
+
+def test_compute_losses_accuracy_equals_global_branch_accuracy():
+    cfg, state, sub, names = accuracy_task(per_class=8, shots=8)
+    for seed in range(4):
+        prompts = PromptSet.initialize(cfg, seed=seed)
+        losses = compute_losses(Batch.from_subset(sub), prompts, cfg, state,
+                                names)
+        assert losses["accuracy"].is_constant
+        assert losses["accuracy"].item() == global_branch_accuracy(
+            sub, names, prompts, cfg, state)
+
+
+def test_full_set_losses_are_the_graph_values_bitwise():
+    cfg, state, sub, names = accuracy_task()
+    prompts = PromptSet.initialize(cfg, seed=16)
+    result = train(sub, names, prompts, cfg, state, epochs=1, batch_size=8,
+                   lr=0.0, seed=17)
+    graph = compute_losses(Batch.from_subset(sub), prompts, cfg, state, names)
+    assert graph["total"].node is not None
+    want = {k: v.item() for k, v in graph.items()}
+    assert result.initial == want and result.final == want
+    assert result.log_rows[0]["base_accuracy"] == want["accuracy"]
+
+
 def test_global_branch_accuracy_bounds():
     cfg = tuning_cfg()
     state = EncoderState.initialize(cfg, seed=14)
