@@ -227,13 +227,17 @@ def gelu(a) -> Tensor:
     """Tanh-approximation GELU (single node keeps graphs small)."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))  # x*x*x, not libm pow
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
+        # g * (0.5*(1+t) + 0.5*x*(1-t*t) * C*(1+3A*x*x)), in place, same order
+        d = 3.0 * _GELU_A * x; d *= x; d += 1.0; d *= _GELU_C
+        s = t * t; np.subtract(1.0, s, out=s)
+        h = 0.5 * x; h *= s; h *= d
+        grad = 1.0 + t; grad *= 0.5; grad += h; grad *= g
+        return (grad,)
 
     return _make("gelu", out_data, (a,), vjp)
 

@@ -21,7 +21,7 @@ def oracle_ln(x, gamma, beta):
 
 
 def oracle_gelu(x):
-    inner = GELU_C * (x + GELU_A * x ** 3)
+    inner = GELU_C * (x + GELU_A * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 

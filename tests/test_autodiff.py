@@ -18,6 +18,8 @@ from promptlab.autodiff import (
     softmax,
 )
 
+from oracle_helpers import GELU_A, GELU_C, oracle_gelu
+
 RNG = np.random.default_rng(np.random.Philox(1234))
 
 
@@ -360,6 +362,9 @@ def _scenario(name, seed):
     if name == "gelu":
         a = t(7)
         return [a], lambda: ad.tsum(ad.gelu(a))
+    if name == "gelu_batched":
+        a, w = t(2, 3, 5), t(2, 3, 5)
+        return [a], lambda: ad.tsum(ad.gelu(a * 2.0) * w)
     if name == "power":
         a = Tensor(rng.uniform(0.5, 2.0, size=4), requires_grad=True)
         return [a], lambda: ad.tsum(ad.power(a, 3.0))
@@ -441,7 +446,7 @@ def _scenario(name, seed):
 
 PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
-    "tanh", "gelu", "power", "matmul_22", "matmul_21", "matmul_12",
+    "tanh", "gelu", "gelu_batched", "power", "matmul_22", "matmul_21", "matmul_12",
     "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
     "reshape_transpose", "concat", "concat_broadcast", "getitem",
     "getitem_basic", "getitem_repeat", "stack",
@@ -461,6 +466,46 @@ def test_primitive_gradients_match_finite_differences(name):
         fd = finite_difference_gradient(lambda: make_loss().item(), params)
         for p, g in zip(params, fd):
             assert max_relative_error(p.grad, g) < 1e-4, name
+
+
+def _gelu_vjp_expression(x, g):
+    """The GELU VJP written as one expression, the form the library's
+    in-place VJP must reproduce bit for bit."""
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    d_inner = GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+
+
+@pytest.mark.parametrize("shape", [(4, 21, 64), (1, 21, 64), (7,)],
+                         ids=["batched", "one_image", "flat"])
+def test_gelu_vjp_equals_the_expression_form_bitwise(shape):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-12.0, 12.0, size=shape)
+    g = rng.normal(size=shape)
+    x.flat[:6] = [0.0, -0.0, 12.0, -12.0, 1e-300, -1e-300]
+    g.flat[::5] = -0.0                    # signed zeros must survive too
+    (got,) = ad.gelu(Tensor(x, requires_grad=True)).node.vjp(g)
+    want = _gelu_vjp_expression(x, g)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_gelu_is_within_two_eps_of_a_longdouble_reference():
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    rng = np.random.default_rng(8)
+    x = np.concatenate([np.linspace(-12.0, 12.0, 100001),
+                        rng.normal(size=800_000),
+                        [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0]])
+    # tanh-GELU (Hendrycks & Gimpel) from its exact constants, in 80 bits
+    xl = x.astype(np.longdouble)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    c, a = np.sqrt(np.longdouble(2) / pi), np.longdouble("0.044715")
+    ref = np.longdouble(0.5) * xl * (1 + np.tanh(c * (xl + a * xl ** 3)))
+    got = ad.gelu(x).data
+    err = np.abs(got.astype(np.longdouble) - ref)
+    bound = 2 * np.finfo(np.float64).eps * np.maximum(np.abs(x), 1.0)
+    assert np.all(err <= bound), float(np.max(err / bound))
+    assert oracle_gelu(x).tobytes() == got.tobytes()
 
 
 def _add_at_cotangent(a, idx, g):

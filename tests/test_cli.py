@@ -1,5 +1,10 @@
 """Config plumbing, protocol runners, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -352,6 +357,29 @@ def test_main_runtime_error_names_type_and_innermost_frame(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("runtime error: non-finite gradient in ")
     assert err.endswith(" (ValueError in promptlab.tuning.train_step)\n")
+
+
+def test_outputs_are_byte_identical_across_blas_thread_counts(tmp_path):
+    # OpenBLAS reads its thread count once, at import, so each count needs
+    # its own process; the environment is set for the children only
+    ini = tmp_path / "ref.ini"
+    save_config(replace(reference_config(), epochs=3), ini)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "promptlab.cli", "train", "--config",
+             str(ini), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outs.append(out)
+    for name in ("log.csv", "metrics.csv", "checkpoint.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+            name
 
 
 def test_main_help_exits_zero():
