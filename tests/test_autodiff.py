@@ -446,8 +446,8 @@ def _scenario(name, seed):
 
 PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
-    "tanh", "gelu", "gelu_batched", "power", "matmul_22", "matmul_21", "matmul_12",
-    "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
+    "tanh", "gelu", "gelu_batched", "power", "matmul_22", "matmul_21",
+    "matmul_12", "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
     "reshape_transpose", "concat", "concat_broadcast", "getitem",
     "getitem_basic", "getitem_repeat", "stack",
     "softmax", "layer_norm", "cosine", "cosine_broadcast", "attention",
