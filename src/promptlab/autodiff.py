@@ -46,23 +46,12 @@ class Tensor:
         return self.data.size
 
     @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.data.reshape(-1)
-
-    @property
     def is_constant(self) -> bool:
         """True when this tensor is detached from every learnable input."""
         return not self.requires_grad and self.node is None
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -211,12 +200,6 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
     return _make("tanh", out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    return _make("power", a.data ** p, (a,),
-                 lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

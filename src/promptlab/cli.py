@@ -106,7 +106,10 @@ def _parse_value(name: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not np.isfinite(value):
+                raise ValueError(raw)
+            return value
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1", "on"):

@@ -271,7 +271,7 @@ def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
 
 def load_checkpoint(path):
     """Read a checkpoint back as (config, state, prompts), validating
-    layout against the embedded config."""
+    layout against the embedded config and rejecting non-finite values."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError("corrupt checkpoint")
@@ -306,6 +306,8 @@ def load_checkpoint(path):
     for name, shape in entries:
         count = int(np.prod(shape))
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite values in {name}")
         tensors[name] = arr.reshape(shape).copy()
         offset += count * 8
     state = EncoderState.from_tensors(cfg, tensors)

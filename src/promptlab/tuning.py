@@ -310,8 +310,11 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
           batch_size: int, lr: float, seed: int,
           use_aug: bool = True) -> TrainResult:
     """Epoch loop over shuffled minibatches with per-epoch CSV-ready rows.
-    With one batch per epoch, an epoch's ``base_accuracy`` comes from the
-    next step's (or ``final``'s) scoring of the whole set under its prompts."""
+
+    An epoch's ``base_accuracy`` scores the whole set under the prompts the
+    epoch ended with: the next epoch's first step scores its batch through
+    its CE logits, a standalone pass scores the other rows (none when one
+    batch holds the set), and the last epoch's value is ``final``'s."""
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
     if lr < 0:
@@ -319,7 +322,6 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
     n = len(train_set)
     if n == 0:
         raise ValueError("empty batch")
-    one_step = n <= batch_size
 
     vrows = vanilla_text_rows(class_names, cfg, state)
     vreps = vanilla_image_rep(train_set.images, cfg, state).data
@@ -332,9 +334,9 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
 
     initial = full_losses(prompts)
     optimizer = SGDMomentum()
-    rows, steps = [], 0
+    rows, steps, rest_correct = [], 0, 0
+    order = _stream(seed, 400, 0).permutation(n)
     for epoch in range(epochs):
-        order = _stream(seed, 400, epoch).permutation(n)
         sums = {k: 0.0 for k in ("total", "ce", "text", "img", "aug")}
         count = 0
         for start in range(0, n, batch_size):
@@ -345,19 +347,23 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
                 batch, prompts, cfg, state, lr, class_names,
                 optimizer=optimizer, vanilla_rows=vrows,
                 vanilla_reps=vreps[idx], use_aug=use_aug)
-            if one_step and rows:
-                rows[-1]["base_accuracy"] = stats["accuracy"]
+            if start == 0 and rows:   # add counts, divide once, as n rows
+                correct = rest_correct + round(stats["accuracy"] * len(idx))
+                rows[-1]["base_accuracy"] = correct / n
             for k in sums:
                 sums[k] += stats[k]
             count += 1
             steps += 1
-        acc = None if one_step else global_branch_accuracy(
-            train_set, class_names, prompts, cfg, state, vanilla_rows=vrows)
         rows.append({"epoch": epoch,
                      **{f"loss_{k}": v / count for k, v in sums.items()},
-                     "base_accuracy": acc})
+                     "base_accuracy": None})
+        order = _stream(seed, 400, epoch + 1).permutation(n)
+        rest = order[batch_size:]    # outside the next epoch's first batch
+        if len(rest) and epoch + 1 < epochs:
+            rest_correct = round(len(rest) * global_branch_accuracy(
+                Batch(train_set.images[rest], train_set.labels[rest]),
+                class_names, prompts, cfg, state, vanilla_rows=vrows))
     final = full_losses(prompts)
-    if one_step:
-        rows[-1]["base_accuracy"] = final["accuracy"]
+    rows[-1]["base_accuracy"] = final["accuracy"]
     return TrainResult(prompts=prompts, log_rows=rows, initial=initial,
                        final=final, steps=steps)

@@ -28,7 +28,6 @@ RNG = np.random.default_rng(np.random.Philox(1234))
 def test_tensor_shape_and_flat_values():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert t.shape == (2, 2)
-    assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
     assert t.data.dtype == np.float64
 
 
@@ -307,7 +306,7 @@ def test_grad_accumulates_across_backward_calls():
     backward(x * x)
     backward(x * x)
     assert x.grad.item() == pytest.approx(8.0)
-    x.zero_grad()
+    ad.zero_grads([x])
     assert x.grad is None
 
 
@@ -365,9 +364,6 @@ def _scenario(name, seed):
     if name == "gelu_batched":
         a, w = t(2, 3, 5), t(2, 3, 5)
         return [a], lambda: ad.tsum(ad.gelu(a * 2.0) * w)
-    if name == "power":
-        a = Tensor(rng.uniform(0.5, 2.0, size=4), requires_grad=True)
-        return [a], lambda: ad.tsum(ad.power(a, 3.0))
     if name == "matmul_22":
         a, b = t(3, 4), t(4, 2)
         return [a, b], lambda: ad.tsum(a @ b)
@@ -446,7 +442,7 @@ def _scenario(name, seed):
 
 PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
-    "tanh", "gelu", "gelu_batched", "power", "matmul_22", "matmul_21",
+    "tanh", "gelu", "gelu_batched", "matmul_22", "matmul_21",
     "matmul_12", "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
     "reshape_transpose", "concat", "concat_broadcast", "getitem",
     "getitem_basic", "getitem_repeat", "stack",

@@ -71,6 +71,11 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
         "k.ini": ("[train]\nlearning = 0.1\n", "unknown config key"),
         "v.ini": ("[train]\nepochs = soon\n", "bad value"),
         "b.ini": ("[model]\nmask_prompts = maybe\n", "bad value"),
+        "n.ini": ("[model]\ntemperature = nan\n", "bad value for temperature"),
+        "i.ini": ("[train]\nlr = inf\n", "bad value for lr"),
+        "m.ini": ("[model]\ntext_consistency_weight = -inf\n",
+                  "bad value for text_consistency_weight"),
+        "o.ini": ("[train]\nlr = 1e999\n", "bad value for lr"),
     }
     for name, (text, match) in cases.items():
         p = tmp_path / name
@@ -183,6 +188,16 @@ def test_cross_dataset_rows_and_identity(tmp_path):
 def test_cross_dataset_needs_targets(tmp_path):
     with pytest.raises(ConfigError, match="target"):
         run_cross_dataset(tiny(out=str(tmp_path / "x"), targets=()))
+
+
+def test_cross_dataset_multi_step_epochs_reproduce_byte_identically(tmp_path):
+    # batch 3 of 4 training rows: two steps per epoch, so each base_accuracy
+    # but the last joins a step's count with a standalone pass
+    runs = [run_cross_dataset(tiny(out=str(tmp_path / k), targets=(5,),
+                                   batch_size=3, epochs=3)) for k in "ab"]
+    assert runs[0]["result"].steps == 6
+    for name in ("log.csv", "metrics.csv", "checkpoint.bin"):
+        assert read(runs[0]["out"] / name) == read(runs[1]["out"] / name), name
 
 
 # ----------------------------------------------------------------- segment
@@ -316,6 +331,11 @@ def test_main_validation_failures_exit_1(tmp_path, capsys):
     assert main(["train", "--config", ini, "--strategy", "median"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    nan = write_tiny_ini(tmp_path, temperature=float("nan"))
+    out = tmp_path / "nan_out"
+    assert main(["train", "--config", nan, "--out", str(out)]) == 1
+    assert "bad value for temperature" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_runtime_failures_exit_2(tmp_path, monkeypatch):

@@ -257,3 +257,23 @@ def test_checkpoint_garbage_header(tmp_path):
     bad.write_bytes(raw[:16] + blob + raw[16 + hlen:])
     with pytest.raises(ValueError, match="corrupt checkpoint"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name,value", [("visual_prompt_0", np.nan),
+                                        ("class_token", np.inf)])
+def test_checkpoint_rejects_non_finite_tensor(tmp_path, name, value):
+    cfg, state, prompts = ckpt_fixture()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, cfg, state, prompts)
+    raw = bytearray(p.read_bytes())
+    hlen = struct.unpack_from("<Q", raw, 8)[0]
+    offset = 16 + hlen
+    for entry, shape in json.loads(raw[16:offset].decode())["tensors"]:
+        if entry == name:
+            break
+        offset += int(np.prod(shape)) * 8
+    struct.pack_into("<d", raw, offset, value)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"non-finite values in {name}$"):
+        load_checkpoint(bad)

@@ -483,8 +483,10 @@ def accuracy_task(per_class=6, shots=4):
     return cfg, state, sub, names
 
 
-@pytest.mark.parametrize("batch_size,lr", [(8, 3e-5), (12, 3e-5), (3, 1e-5)],
-                         ids=["one_step", "one_short_batch", "multi_step"])
+@pytest.mark.parametrize("batch_size,lr", [(8, 3e-5), (12, 3e-5), (3, 1e-5),
+                                           (5, 2e-5)],
+                         ids=["one_step", "one_short_batch", "multi_step",
+                              "two_uneven_steps"])
 def test_epoch_accuracy_scores_the_prompts_each_epoch_ends_with(batch_size,
                                                                 lr):
     # small steps that still flip predictions: accuracy moves 0.125 -> 0.5
@@ -503,17 +505,17 @@ def test_epoch_accuracy_scores_the_prompts_each_epoch_ends_with(batch_size,
         assert rows[e]["base_accuracy"] == want, e
 
 
-@pytest.mark.parametrize("batch_size,evals", [(8, 0), (100, 0), (3, 3)])
+@pytest.mark.parametrize("batch_size,evals", [(8, 0), (100, 0), (3, 2)])
 def test_standalone_epoch_evals_only_in_multi_step_epochs(monkeypatch,
                                                           batch_size, evals):
     import promptlab.tuning as tuning
     cfg, state, sub, names = accuracy_task()
-    calls = {"eval": 0, "step": 0}
+    calls = {"eval": [], "step": 0}
     real_eval, real_step = tuning.global_branch_accuracy, tuning.train_step
 
-    def counting_eval(*args, **kw):
-        calls["eval"] += 1
-        return real_eval(*args, **kw)
+    def counting_eval(subset, *args, **kw):
+        calls["eval"].append(len(subset))
+        return real_eval(subset, *args, **kw)
 
     def counting_step(*args, **kw):
         calls["step"] += 1
@@ -523,7 +525,8 @@ def test_standalone_epoch_evals_only_in_multi_step_epochs(monkeypatch,
     monkeypatch.setattr(tuning, "train_step", counting_step)
     result = train(sub, names, PromptSet.initialize(cfg, seed=16), cfg,
                    state, epochs=3, batch_size=batch_size, lr=0.5, seed=17)
-    assert calls["eval"] == evals
+    # every epoch but the last scores the rows outside the next first batch
+    assert calls["eval"] == [len(sub) - batch_size] * evals
     # the loop reaches train_step through the module global
     assert calls["step"] == result.steps == 3 * -(-len(sub) // batch_size)
     assert all(0.0 <= r["base_accuracy"] <= 1.0 for r in result.log_rows)
