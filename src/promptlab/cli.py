@@ -167,24 +167,14 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def to_model_config(cfg: ExperimentConfig) -> ModelConfig:
+    """Every field the two configs share, by name; the grid side becomes a
+    pair, prompt depth 0 means full depth, and the vocabulary is fixed."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)
+              if f.name in _FIELD_TYPES}
+    shared.update(patch_grid=(cfg.patch_grid, cfg.patch_grid),
+                  prompt_depth=cfg.prompt_depth or None, vocab_size=len(VOCAB))
     try:
-        return ModelConfig(
-            visual_width=cfg.visual_width,
-            text_width=cfg.text_width,
-            shared_width=cfg.shared_width,
-            depth=cfg.depth,
-            heads=cfg.heads,
-            patch_grid=(cfg.patch_grid, cfg.patch_grid),
-            image_size=cfg.image_size,
-            vocab_size=len(VOCAB),
-            text_prompt_len=cfg.text_prompt_len,
-            visual_prompt_len=cfg.visual_prompt_len,
-            prompt_depth=None if cfg.prompt_depth == 0 else cfg.prompt_depth,
-            temperature=cfg.temperature,
-            text_consistency_weight=cfg.text_consistency_weight,
-            image_consistency_weight=cfg.image_consistency_weight,
-            mask_prompts=cfg.mask_prompts,
-        )
+        return ModelConfig(**shared)
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -203,8 +193,8 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("epochs must be at least 1")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    if cfg.lr < 0:
-        raise ConfigError("lr must be nonnegative")
+    if not 0 <= cfg.lr < np.inf:
+        raise ConfigError("lr must be nonnegative and finite")
     if cfg.strategy:
         try:
             resolve_strategy(cfg.strategy)
@@ -232,13 +222,25 @@ def _predict_all(subset, prompts, mcfg, state, bank, strategy) -> float:
     return accuracy(np.concatenate(preds), subset.labels)
 
 
-def _base_eval(ds: SyntheticDataset, train_set, note: bool = True):
-    """Held-out base rows, else (shots == per_class) the training rows."""
+def _score(split, prompts, mcfg, state, strategies) -> list:
+    """Accuracy on a (class names, rows) split per strategy, one text bank."""
+    names, subset = split
+    bank = build_text_bank(names, prompts.detached(), mcfg, state)
+    return [_predict_all(subset, prompts, mcfg, state, bank, strategy)
+            for strategy in strategies]
+
+
+def _splits(ds: SyntheticDataset, train_set, note: bool = True) -> tuple:
+    """(class names, rows) of the base and the novel split.  Base rows are
+    the held-out ones, else (shots == per_class) the training rows."""
     rows = held_out(ds, train_set)
     if not len(rows) and note:
         print("note: no held-out base rows (shots == per_class); base "
               "accuracy is scored on the training rows", file=sys.stderr)
-    return rows if len(rows) else select_classes(ds, ds.base_classes)
+    base = rows if len(rows) else select_classes(ds, ds.base_classes)
+    novel = select_classes(ds, ds.novel_classes)
+    return tuple(([ds.class_names[c] for c in ids], subset) for ids, subset
+                 in ((ds.base_classes, base), (ds.novel_classes, novel)))
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -249,6 +251,20 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def _write_log(path, rows) -> None:
     write_csv(path, LOG_COLUMNS, [[r[c] for c in LOG_COLUMNS] for r in rows])
+
+
+def _write_run(cfg: ExperimentConfig, table: str, header, rows,
+               trained=None) -> Path:
+    """Write ``table``, then ``log.csv`` and ``checkpoint.bin`` of ``trained``
+    = (model config, encoder state, train result), then ``config.ini``."""
+    out = _outdir(cfg)
+    write_csv(out / table, header, rows)
+    if trained is not None:
+        mcfg, state, result = trained
+        _write_log(out / "log.csv", result.log_rows)
+        save_checkpoint(out / "checkpoint.bin", mcfg, state, result.prompts)
+    save_config(cfg, out / "config.ini")
+    return out
 
 
 def _train_run(cfg: ExperimentConfig, mcfg: ModelConfig,
@@ -272,28 +288,17 @@ def run_base_to_novel(cfg: ExperimentConfig) -> dict:
                           cfg.data_seed, cfg.family_offset)
     state, _, train_set, result = _train_run(cfg, mcfg, ds, ds.base_classes)
     prompts = result.prompts
-    base_names = [ds.class_names[c] for c in ds.base_classes]
-    novel_names = [ds.class_names[c] for c in ds.novel_classes]
-    base_eval = _base_eval(ds, train_set)
-    novel_eval = select_classes(ds, ds.novel_classes)
-
-    bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)
-    bank_n = build_text_bank(novel_names, prompts.detached(), mcfg, state)
-    gb = global_branch_accuracy(base_eval, base_names, prompts, mcfg, state)
-    gn = global_branch_accuracy(novel_eval, novel_names, prompts, mcfg, state)
-    rows = [["global-branch", gb, gn, _hm_or_zero(gb, gn)]]
-    for strat in _strategies(cfg):
-        ab = _predict_all(base_eval, prompts, mcfg, state, bank_b, strat)
-        an = _predict_all(novel_eval, prompts, mcfg, state, bank_n, strat)
-        rows.append([strat, ab, an, _hm_or_zero(ab, an)])
-
-    out = _outdir(cfg)
-    _write_log(out / "log.csv", result.log_rows)
-    write_csv(out / "metrics.csv",
-              ["strategy", "base_accuracy", "novel_accuracy", "harmonic_mean"],
-              rows)
-    save_checkpoint(out / "checkpoint.bin", mcfg, state, prompts)
-    save_config(cfg, out / "config.ini")
+    splits = _splits(ds, train_set)
+    gb, gn = (global_branch_accuracy(subset, names, prompts, mcfg, state)
+              for names, subset in splits)
+    strategies = _strategies(cfg)
+    base, novel = (_score(split, prompts, mcfg, state, strategies)
+                   for split in splits)
+    rows = [[name, ab, an, _hm_or_zero(ab, an)] for name, ab, an in
+            zip(("global-branch", *strategies), (gb, *base), (gn, *novel))]
+    out = _write_run(cfg, "metrics.csv", ["strategy", "base_accuracy",
+                                          "novel_accuracy", "harmonic_mean"],
+                     rows, (mcfg, state, result))
     return {"rows": rows, "result": result, "out": out}
 
 
@@ -305,16 +310,12 @@ def run_cross_dataset(cfg: ExperimentConfig) -> dict:
                               cfg.data_seed, cfg.family_offset)
     state, _, _, result = _train_run(cfg, mcfg, source,
                                      tuple(range(cfg.n_classes)))
-    prompts = result.prompts
-    strategy = cfg.strategy or "equal"
-
-    out = _outdir(cfg)
-    save_checkpoint(out / "checkpoint.bin", mcfg, state, prompts)
+    strategies = (cfg.strategy or "equal",)
 
     def score(ds: SyntheticDataset) -> float:
         full = select_classes(ds, tuple(range(ds.n_classes)))
-        bank = build_text_bank(ds.class_names, prompts.detached(), mcfg, state)
-        return _predict_all(full, prompts, mcfg, state, bank, strategy)
+        return _score((ds.class_names, full), result.prompts, mcfg, state,
+                      strategies)[0]
 
     rows = [["source", cfg.data_seed, cfg.family_offset, score(source)]]
     for t in cfg.targets:
@@ -322,11 +323,9 @@ def run_cross_dataset(cfg: ExperimentConfig) -> dict:
                                   cfg.image_size, t,
                                   cfg.target_family_offset)
         rows.append(["target", t, cfg.target_family_offset, score(target)])
-
-    _write_log(out / "log.csv", result.log_rows)
-    write_csv(out / "metrics.csv",
-              ["role", "seed", "family_offset", "accuracy"], rows)
-    save_config(cfg, out / "config.ini")
+    out = _write_run(cfg, "metrics.csv",
+                     ["role", "seed", "family_offset", "accuracy"], rows,
+                     (mcfg, state, result))
     return {"rows": rows, "result": result, "out": out}
 
 
@@ -339,48 +338,35 @@ def run_segment(cfg: ExperimentConfig, dataset: SyntheticDataset = None) -> dict
         raise ConfigError("segmentation needs a dataset with gt masks")
     state, prompts0, train_set, result = _train_run(cfg, mcfg, ds,
                                                     ds.base_classes)
-    base_names = [ds.class_names[c] for c in ds.base_classes]
-    eval_set = _base_eval(ds, train_set)
+    (base_names, eval_set), _ = _splits(ds, train_set)
     gts = ds.gt_masks[eval_set.indices]
+    size = cfg.image_size
 
     tokens = ["CLS"] + [f"VP:{i}" for i in range(cfg.visual_prompt_len)]
     rows = []
     out = _outdir(cfg)
     for tag, prompts in (("untrained", prompts0), ("trained", result.prompts)):
         bank = build_text_bank(base_names, prompts.detached(), mcfg, state)
-        for token in tokens:
-            per_image, masses = [], []
-            for img, gt in zip(eval_set.images, gts):
-                amap = extract_attention_map(img, prompts, mcfg, state, token)
-                heat = upsample_nearest(amap, cfg.image_size)
-                pred = binarize_map(amap, cfg.image_size)
-                per_image.append(segmentation_metrics(heat, pred, gt))
-                masses.append(foreground_mass(amap, gt))
-            agg = mean_metrics(per_image)
-            rows.append([tag, token, agg.pix_acc, agg.m_iou, agg.m_ap,
-                         float(np.mean(masses))])
-        per_image = []
-        for img, gt in zip(eval_set.images, gts):
-            grid = gradcam_map(img, prompts, mcfg, state, bank)
-            heat = upsample_nearest(grid, cfg.image_size)
-            pred = binarize_map(grid, cfg.image_size)
-            per_image.append(segmentation_metrics(heat, pred, gt))
-        agg = mean_metrics(per_image)
-        rows.append([tag, "GradCAM", agg.pix_acc, agg.m_iou, agg.m_ap, ""])
-        # one example heatmap per token for eyeballing
-        sample = eval_set.images[0]
-        for token in tokens[:2]:
-            amap = extract_attention_map(sample, prompts, mcfg, state, token)
-            name = f"heatmap_{tag}_{token.replace(':', '-')}.pgm"
-            write_pgm(out / name, amap.grid)
-        write_pgm(out / f"heatmap_{tag}_gradcam.pgm",
-                  gradcam_map(sample, prompts, mcfg, state, bank))
+        maps = {token: [extract_attention_map(img, prompts, mcfg, state,
+                                              token).grid
+                        for img in eval_set.images] for token in tokens}
+        maps["GradCAM"] = [gradcam_map(img, prompts, mcfg, state, bank)
+                           for img in eval_set.images]
+        for token, grids in maps.items():
+            agg = mean_metrics(segmentation_metrics(
+                upsample_nearest(g, size), binarize_map(g, size), gt)
+                for g, gt in zip(grids, gts))
+            mass = "" if token == "GradCAM" else float(np.mean(
+                [foreground_mass(g, gt) for g, gt in zip(grids, gts)]))
+            rows.append([tag, token, agg.pix_acc, agg.m_iou, agg.m_ap, mass])
+        # the first image's maps of CLS, VP:0 and GradCAM, for eyeballing
+        for token in (*tokens[:2], "GradCAM"):
+            name = token.replace(":", "-").replace("GradCAM", "gradcam")
+            write_pgm(out / f"heatmap_{tag}_{name}.pgm", maps[token][0])
 
-    write_csv(out / "segmentation.csv",
-              ["model", "token", "pix_acc", "m_iou", "m_ap", "fg_mass"], rows)
-    _write_log(out / "log.csv", result.log_rows)
-    save_checkpoint(out / "checkpoint.bin", mcfg, state, result.prompts)
-    save_config(cfg, out / "config.ini")
+    _write_run(cfg, "segmentation.csv",
+               ["model", "token", "pix_acc", "m_iou", "m_ap", "fg_mass"], rows,
+               (mcfg, state, result))
     return {"rows": rows, "result": result, "out": out}
 
 
@@ -454,24 +440,15 @@ def run_ablate(cfg: ExperimentConfig) -> dict:
                                                      use_aug=use_aug)
             cache[key] = (ds, state, train_set, result)
         ds, state, train_set, result = cache[key]
-        prompts = result.prompts
-        base_names = [ds.class_names[c] for c in ds.base_classes]
-        novel_names = [ds.class_names[c] for c in ds.novel_classes]
         # every point draws the same rows, so the first one notes for all
-        base_eval = _base_eval(ds, train_set, note=not rows)
-        novel_eval = select_classes(ds, ds.novel_classes)
-        strategy = point.strategy or "equal"
-        bank_b = build_text_bank(base_names, prompts.detached(), mcfg, state)
-        bank_n = build_text_bank(novel_names, prompts.detached(), mcfg, state)
-        ab = _predict_all(base_eval, prompts, mcfg, state, bank_b, strategy)
-        an = _predict_all(novel_eval, prompts, mcfg, state, bank_n, strategy)
+        splits = _splits(ds, train_set, note=not rows)
+        ab, an = (_score(split, result.prompts, mcfg, state,
+                         (point.strategy or "equal",))[0] for split in splits)
         rows.append([axis, value, ab, an, _hm_or_zero(ab, an)])
 
-    out = _outdir(cfg)
-    write_csv(out / "ablation.csv",
-              ["axis", "value", "base_accuracy", "novel_accuracy",
-               "harmonic_mean"], rows)
-    save_config(cfg, out / "config.ini")
+    out = _write_run(cfg, "ablation.csv",
+                     ["axis", "value", "base_accuracy", "novel_accuracy",
+                      "harmonic_mean"], rows)
     return {"rows": rows, "out": out}
 
 

@@ -52,10 +52,12 @@ class ModelConfig:
             raise ValueError("prompt_depth must lie in 1..depth")
         if self.visual_prompt_len < 0 or self.text_prompt_len < 0:
             raise ValueError("prompt lengths must be nonnegative")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.text_consistency_weight < 0 or self.image_consistency_weight < 0:
-            raise ValueError("consistency weights must be nonnegative")
+        # written so that NaN fails every range check
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
+        for name in ("text_consistency_weight", "image_consistency_weight"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         rows, cols = self.patch_grid
         if self.image_size % rows or self.image_size % cols:
             raise ValueError("image_size must be divisible by the patch grid")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .autodiff import Tensor, softmax
 from .encoders import EncoderState, ModelConfig, PromptSet
-from .tuning import (BranchOutputs, TextBank, forward_three_branch,
-                     sim_augmented)
+from .tuning import (BranchOutputs, TextBank, augmented_logits, ce_logits,
+                     forward_three_branch)
 
 DEFAULT_THRESHOLD = 0.8
 
@@ -37,29 +37,19 @@ class BranchLogits:
         return out
 
 
-def branch_logits(rep, bank_rows, tau: float) -> np.ndarray:
-    """Cosine/tau logits of one branch against one side of the text bank.
-
-    ``rep`` is rows ``(..., R, d)``, or one row ``(d,)``, scored by the mean
-    of the per-row cosines to each class row, as the augmented branch is in
-    training.  Both sides enter as constants, so scoring builds no graph.
-    """
-    rep = Tensor(np.atleast_2d(getattr(rep, "data", rep)))
-    rows = Tensor(getattr(bank_rows, "data", bank_rows))
-    return sim_augmented(rep, rows).data / tau
-
-
 def three_branch_logits(outputs: BranchOutputs, bank: TextBank,
                         tau: float) -> BranchLogits:
+    """Each branch's training logits as arrays: :func:`ce_logits` for the
+    global and vanilla reps, :func:`augmented_logits` for the augmented.
+    The bank enters as constants, so scoring builds no graph."""
+    prompted, vanilla = Tensor(bank.prompted.data), Tensor(bank.vanilla.data)
     aug = None
     if outputs.augmented_reps is not None:
-        aug = branch_logits(outputs.augmented_reps, bank.prompted, tau)
-    glob = outputs.global_rep.data[..., None, :]      # one row per image
-    vanilla = outputs.vanilla_rep.data[..., None, :]
+        aug = augmented_logits(outputs.augmented_reps, prompted, tau).data
     return BranchLogits(
-        global_=branch_logits(glob, bank.prompted, tau),
+        global_=ce_logits(outputs.global_rep, prompted, tau).data,
         augmented=aug,
-        vanilla=branch_logits(vanilla, bank.vanilla, tau),
+        vanilla=ce_logits(outputs.vanilla_rep, vanilla, tau).data,
         tau=tau,
     )
 

@@ -125,11 +125,12 @@ def _n_correct(scores: np.ndarray, labels) -> int:
     return int((np.argmax(scores, axis=-1) == labels).sum())
 
 
-def _ce_logits(x_rep: Tensor, bank: TextBank, tau: float) -> Tensor:
-    """cosine/tau logits: ``(C,)`` for one rep, ``(B, C)`` for a batch."""
+def ce_logits(x_rep: Tensor, rows: Tensor, tau: float) -> Tensor:
+    """cosine/tau logits against the text rows ``(C, d)``: ``(C,)`` for one
+    rep, ``(B, C)`` for a batch.  The one scoring rule of a rep."""
     if x_rep.data.ndim > 1:
         x_rep = ad.reshape(x_rep, (*x_rep.shape[:-1], 1, x_rep.shape[-1]))
-    return ad.cosine_similarity(x_rep, bank.prompted) * (1.0 / tau)
+    return ad.cosine_similarity(x_rep, rows) * (1.0 / tau)
 
 
 def loss_ce(x_rep: Tensor, bank: TextBank, y, tau: float) -> Tensor:
@@ -138,7 +139,7 @@ def loss_ce(x_rep: Tensor, bank: TextBank, y, tau: float) -> Tensor:
     ``x_rep`` ``(d,)`` with an int ``y`` gives a scalar; a batch ``(B, d)``
     with ``(B,)`` labels gives the ``(B,)`` per-image losses.
     """
-    return _nll(_ce_logits(x_rep, bank, tau), y)
+    return _nll(ce_logits(x_rep, bank.prompted, tau), y)
 
 
 def loss_consistency(prompted: Tensor, vanilla: Tensor) -> Tensor:
@@ -159,11 +160,16 @@ def sim_augmented(aug_reps: Optional[Tensor], z: Tensor) -> Tensor:
     return ad.mean(ad.cosine_similarity(per_prompt, z), axis=-2)
 
 
+def augmented_logits(aug_reps: Optional[Tensor], rows: Tensor,
+                     tau: float) -> Tensor:
+    """The augmented branch's logits, :func:`sim_augmented` over tau."""
+    return sim_augmented(aug_reps, rows) * (1.0 / tau)
+
+
 def loss_aug_single(aug_reps: Optional[Tensor], bank: TextBank, y,
                     tau: float) -> Tensor:
     """Cross entropy of the augmented branch; batched like :func:`loss_ce`."""
-    logits = sim_augmented(aug_reps, bank.prompted) * (1.0 / tau)
-    return _nll(logits, y)
+    return _nll(augmented_logits(aug_reps, bank.prompted, tau), y)
 
 
 def combine_global(ce, text, img, lambda1: float, lambda2: float):
@@ -196,7 +202,7 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     res = encode_image_prompted(batch.images, prompts, cfg, state)
     x_p = project_global(res.cls, state)
     tau = cfg.temperature
-    logits = _ce_logits(x_p, bank, tau)
+    logits = ce_logits(x_p, bank.prompted, tau)
     ce = ad.mean(_nll(logits, batch.labels))
     text = ad.mean(loss_consistency(bank.prompted, bank.vanilla))
     img = ad.mean(loss_consistency(x_p, vanilla))
@@ -288,20 +294,21 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
     """Share of ``subset`` whose global branch picks the right class.
 
     Scoring builds no graph: prompts enter as detached views, and images
-    are encoded, projected and scored ``EVAL_CHUNK`` at a time.
+    are encoded, projected and scored by :func:`ce_logits` ``EVAL_CHUNK``
+    at a time.
     """
     if len(subset) == 0:
         raise ValueError("empty evaluation subset")
     frozen = prompts.detached()
     bank = build_text_bank(class_names, frozen, cfg, state,
                            vanilla_rows=vanilla_rows)
-    bank_rows = bank.prompted.data
     correct = 0
     for start in range(0, len(subset), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
         res = encode_image_prompted(subset.images[chunk], frozen, cfg, state)
-        x = project_global(res.cls, state).data
-        correct += _n_correct(x @ bank_rows.T, subset.labels[chunk])
+        logits = ce_logits(project_global(res.cls, state), bank.prompted,
+                           cfg.temperature)
+        correct += _n_correct(logits.data, subset.labels[chunk])
     return correct / len(subset)
 
 

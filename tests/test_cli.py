@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptlab import cli
 from promptlab.cli import (ConfigError, ExperimentConfig, load_config, main,
@@ -14,7 +16,7 @@ from promptlab.cli import (ConfigError, ExperimentConfig, load_config, main,
                            run_cross_dataset, run_segment, save_config,
                            to_model_config, validate)
 from promptlab.datagen import VOCAB, generate_dataset
-from promptlab.encoders import EncoderState, PromptSet
+from promptlab.encoders import EncoderState, ModelConfig, PromptSet
 from promptlab.tuning import LOG_COLUMNS, global_branch_accuracy
 from dataclasses import fields, replace
 
@@ -109,6 +111,50 @@ def test_to_model_config_mapping():
     assert mcfg.vocab_size == len(VOCAB)
     assert tuple(mcfg.patch_grid) == (2, 2)
     assert to_model_config(tiny(prompt_depth=1)).prompt_depth == 1
+
+
+def test_to_model_config_carries_every_shared_field():
+    over = dict(visual_width=12, text_width=12, shared_width=6, depth=5,
+                heads=3, patch_grid=2, image_size=10, prompt_depth=4,
+                temperature=0.2, mask_prompts=False,
+                text_consistency_weight=1.5, image_consistency_weight=2.5,
+                visual_prompt_len=5, text_prompt_len=3)
+    shared = ({f.name for f in fields(ModelConfig)}
+              & {f.name for f in fields(ExperimentConfig)})
+    assert set(over) == shared
+    mcfg = to_model_config(replace(ExperimentConfig(), **over))
+    for name, value in over.items():
+        want = (value, value) if name == "patch_grid" else value
+        assert getattr(ExperimentConfig(), name) != value, name
+        assert getattr(ModelConfig(), name) != want, name
+        assert getattr(mcfg, name) == want, name
+
+
+# float key -> (lower bound, whether the bound itself is valid)
+FLOAT_RANGES = {"lr": (0.0, True), "temperature": (0.0, False),
+                "text_consistency_weight": (0.0, True),
+                "image_consistency_weight": (0.0, True)}
+
+
+def test_float_ranges_cover_every_float_key():
+    assert sorted(FLOAT_RANGES) == sorted(
+        f.name for f in fields(ExperimentConfig) if f.type == "float")
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(FLOAT_RANGES)),
+       value=st.one_of(st.floats(), st.sampled_from(
+           [0.0, -0.0, float("nan"), float("inf"), float("-inf")])))
+def test_validate_rejects_exactly_non_finite_or_out_of_range_floats(key,
+                                                                     value):
+    low, closed = FLOAT_RANGES[key]
+    valid = np.isfinite(value) and (value >= low if closed else value > low)
+    cfg = tiny(**{key: value})
+    if valid:
+        validate(cfg)
+    else:
+        with pytest.raises(ConfigError, match=key):
+            validate(cfg)
 
 
 def test_reference_config_is_valid():

@@ -46,6 +46,14 @@ def test_config_validation_errors():
         ModelConfig(visual_prompt_len=-1)
 
 
+@pytest.mark.parametrize("name", ["temperature", "text_consistency_weight",
+                                  "image_consistency_weight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_config_rejects_non_finite_and_negative_floats(name, value):
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(**{name: value})
+
+
 def test_config_prompt_depth_defaults_to_depth():
     cfg = ModelConfig(depth=5)
     assert cfg.prompt_depth == 5

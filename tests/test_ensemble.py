@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from promptlab import autodiff as ad
 from promptlab.autodiff import Tensor
 from promptlab.datagen import generate_dataset, sample_few_shot
 from promptlab.encoders import EncoderState, ModelConfig, PromptSet
 from promptlab.ensemble import (BranchLogits, branch_confidences,
-                                branch_logits, ensemble_confidence,
-                                ensemble_equal, ensemble_threshold, predict,
-                                resolve_strategy, three_branch_logits)
+                                ensemble_confidence, ensemble_equal,
+                                ensemble_threshold, predict, resolve_strategy,
+                                three_branch_logits)
 from promptlab.evalkit import extract_attention_map, gradcam_map
-from promptlab.tuning import (TextBank, build_text_bank, forward_three_branch,
-                              global_branch_accuracy, loss_ce, sim_augmented)
+from promptlab.tuning import (BranchOutputs, TextBank, augmented_logits,
+                              build_text_bank, ce_logits, forward_three_branch,
+                              global_branch_accuracy, loss_aug_single, loss_ce,
+                              sim_augmented)
 
 
 def mk(g, a, v, tau=1.0):
@@ -26,40 +29,58 @@ def softmax_oracle(v):
     return e / e.sum()
 
 
-# ------------------------------------------------------------ branch_logits
+# ----------------------------------------------------- three_branch_logits
 
-def test_branch_logits_hand_case_1d():
+def hand_logits(glob, rows, aug=None, vanilla_rows=None, tau=0.5):
+    """three_branch_logits of hand-built reps; the vanilla rep is the
+    global one, scored against ``vanilla_rows`` (default: ``rows``)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    vrows = rows if vanilla_rows is None else np.asarray(vanilla_rows, float)
+    outputs = BranchOutputs(
+        global_rep=Tensor(np.asarray(glob, dtype=np.float64)),
+        augmented_reps=None if aug is None else Tensor(np.asarray(aug, float)),
+        vanilla_rep=Tensor(np.asarray(glob, dtype=np.float64)))
+    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(vrows),
+                    class_names=tuple(str(i) for i in range(len(rows))))
+    return three_branch_logits(outputs, bank, tau)
+
+
+def test_three_branch_logits_hand_case_1d():
     # rep e0 against identity bank: cosines (1, 0), scaled by 1/tau
-    out = branch_logits(np.array([1.0, 0.0]), np.eye(2), tau=0.5)
-    assert np.allclose(out, [2.0, 0.0], atol=1e-12)
+    lg = hand_logits([1.0, 0.0], np.eye(2), aug=[[1.0, 0.0]],
+                     vanilla_rows=np.eye(2)[::-1])
+    assert np.allclose(lg.global_, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(lg.augmented, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(lg.vanilla, [0.0, 2.0], atol=1e-12)   # its own rows
 
 
-def test_branch_logits_normalizes_inputs():
-    # cosine is scale free on both sides
-    out = branch_logits(np.array([3.0, 0.0]), 7.0 * np.eye(2), tau=0.5)
-    assert np.allclose(out, [2.0, 0.0], atol=1e-12)
+def test_three_branch_logits_normalizes_inputs():
+    # cosine is scale free on both sides, in every branch
+    lg = hand_logits([3.0, 0.0], 7.0 * np.eye(2), aug=[[5.0, 0.0]])
+    for logits in lg.present():
+        assert np.allclose(logits, [2.0, 0.0], atol=1e-12)
 
 
-def test_branch_logits_2d_mean_of_rows():
-    rep = np.array([[0.8, 0.6], [0.0, 1.0]])
-    out = branch_logits(rep, np.eye(2), tau=0.5)
-    assert np.allclose(out, [0.4 / 0.5, 0.8 / 0.5], atol=1e-12)
+def test_three_branch_logits_augmented_is_the_mean_of_rows():
+    aug = np.array([[0.8, 0.6], [0.0, 1.0]])
+    lg = hand_logits([1.0, 0.0], np.eye(2), aug=aug)
+    assert np.allclose(lg.augmented, [0.4 / 0.5, 0.8 / 0.5], atol=1e-12)
 
 
-def test_branch_logits_2d_matches_sim_augmented():
+def test_three_branch_logits_augmented_matches_sim_augmented():
     rng = np.random.default_rng(7)
-    rep = rng.normal(size=(3, 5))
-    rep /= np.linalg.norm(rep, axis=1, keepdims=True)
+    aug = rng.normal(size=(3, 5))
+    aug /= np.linalg.norm(aug, axis=1, keepdims=True)
     rows = rng.normal(size=(4, 5))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     tau = 0.25
-    out = branch_logits(rep, rows, tau)
-    want = [sim_augmented(Tensor(rep), Tensor(rows[i])).item() / tau
+    lg = hand_logits(aug[0], rows, aug=aug, tau=tau)
+    want = [sim_augmented(Tensor(aug), Tensor(rows[i])).item() / tau
             for i in range(4)]
-    assert np.allclose(out, want, atol=1e-12)
+    assert np.allclose(lg.augmented, want, atol=1e-12)
 
 
-def test_branch_logits_matches_loss_ce():
+def test_three_branch_logits_global_matches_loss_ce():
     # -log softmax of the global-branch logits must equal the training CE
     rng = np.random.default_rng(11)
     rep = rng.normal(size=6)
@@ -67,17 +88,19 @@ def test_branch_logits_matches_loss_ce():
     bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(rows.copy()),
                     class_names=("a", "b", "c"))
     tau = 0.5
-    logits = branch_logits(rep, rows, tau)
+    logits = hand_logits(rep, rows, tau=tau).global_
     for y in range(3):
         ce = loss_ce(Tensor(rep), bank, y, tau).item()
         assert abs(ce + np.log(softmax_oracle(logits)[y])) < 1e-12
 
 
-def test_branch_logits_rejects_zero_vectors():
+def test_three_branch_logits_rejects_zero_vectors():
     with pytest.raises(ValueError, match="degenerate"):
-        branch_logits(np.zeros(3), np.eye(3), tau=1.0)
+        hand_logits(np.zeros(3), np.eye(3), tau=1.0)
     with pytest.raises(ValueError, match="degenerate"):
-        branch_logits(np.ones(3), np.zeros((2, 3)), tau=1.0)
+        hand_logits(np.ones(3), np.zeros((2, 3)), tau=1.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        hand_logits(np.ones(3), np.eye(3), aug=np.zeros((2, 3)), tau=1.0)
 
 
 # ------------------------------------------------------------------- equal
@@ -273,9 +296,40 @@ def test_three_branch_logits_shapes_and_consistency():
     out = forward_three_branch(image, prompts, cfg, state)
     lg = three_branch_logits(out, bank, cfg.temperature)
     assert lg.global_.shape == lg.vanilla.shape == lg.augmented.shape == (2,)
-    want = branch_logits(out.vanilla_rep.data, bank.vanilla.data,
-                         cfg.temperature)
+    rep, rows = out.vanilla_rep.data, bank.vanilla.data
+    want = (rows @ rep / np.linalg.norm(rows, axis=1) / np.linalg.norm(rep)
+            / cfg.temperature)
     assert np.allclose(lg.vanilla, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_images", [None, 5])
+def test_three_branch_logits_are_the_training_logits_bitwise(n_images):
+    # one image or a stack: each branch is scored by the expression its
+    # loss term takes the cross entropy of, bit for bit
+    cfg, state, prompts, bank, image = setup_model()
+    if n_images is not None:
+        rng = np.random.default_rng(4)
+        image = rng.uniform(size=(n_images, cfg.image_size, cfg.image_size))
+    out = forward_three_branch(image, prompts, cfg, state)
+    tau = cfg.temperature
+    lg = three_branch_logits(out, bank, tau)
+    pairs = [
+        (lg.global_, ce_logits(out.global_rep, bank.prompted, tau)),
+        (lg.augmented, augmented_logits(out.augmented_reps, bank.prompted,
+                                        tau)),
+        (lg.vanilla, ce_logits(out.vanilla_rep, bank.vanilla, tau))]
+    for got, want in pairs:
+        assert np.array_equal(got, want.data)
+    y = 1 if n_images is None else np.arange(n_images) % 2
+    pick = y if n_images is None else (np.arange(n_images), y)
+
+    def nll(logits):
+        return (-ad.log_softmax(Tensor(logits))[pick]).data
+
+    assert np.array_equal(nll(lg.global_),
+                          loss_ce(out.global_rep, bank, y, tau).data)
+    assert np.array_equal(nll(lg.augmented), loss_aug_single(
+        out.augmented_reps, bank, y, tau).data)
 
 
 def test_predict_deterministic_and_valid():
