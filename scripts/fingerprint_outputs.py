@@ -7,9 +7,14 @@ ablation axis) with ``<checkout>/src`` first on the import path, each in
 a fresh temporary directory, and prints ``<command>/<file> <sha256>`` for
 every file a run writes and for its stdout and stderr.  Two checkouts
 produce the same CLI outputs byte for byte exactly when their
-fingerprints diff clean.  The ablation configs are the ``config.ini``
-snapshot of the ``train`` run with only ``ablate_axis`` changed, so every
-run uses the reference preset.  Takes a few minutes on two cores.
+fingerprints diff clean.  Each ``checkpoint.bin`` a run writes is also
+loaded back with the checkout's ``load_checkpoint`` in a fresh process,
+printing ``<command>/checkpoint.loaded <sha256>`` over the loaded config
+(as sorted JSON), ``state.to_bytes()`` and ``prompts.to_bytes()``: the
+model a checkpoint restores, whatever its file format.  The ablation
+configs are the ``config.ini`` snapshot of the ``train`` run with only
+``ablate_axis`` changed, so every run uses the reference preset.  Takes a
+few minutes on two cores.
 """
 
 import configparser
@@ -21,6 +26,16 @@ import tempfile
 from pathlib import Path
 
 AXES = ("depth", "length", "loss", "ensemble")
+
+LOAD = """
+import hashlib, json, sys
+from promptlab.datagen import load_checkpoint
+cfg, state, prompts = load_checkpoint(sys.argv[1])
+digest = hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode())
+digest.update(state.to_bytes())
+digest.update(prompts.to_bytes())
+print(digest.hexdigest())
+"""
 
 
 def run(src: Path, work: Path, label: str, argv: list) -> None:
@@ -35,6 +50,13 @@ def run(src: Path, work: Path, label: str, argv: list) -> None:
     for path in sorted((work / label).iterdir()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{label}/{path.name} {digest}")
+    checkpoint = work / label / "checkpoint.bin"
+    if checkpoint.is_file():
+        proc = subprocess.run([sys.executable, "-c", LOAD, str(checkpoint)],
+                              env=env, capture_output=True)
+        loaded = proc.stdout.decode().strip() if proc.returncode == 0 else \
+            f"failed (exit {proc.returncode})"
+        print(f"{label}/checkpoint.loaded {loaded}")
     sys.stdout.flush()
 
 

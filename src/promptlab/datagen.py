@@ -9,6 +9,7 @@ bit-identical across platforms.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -36,7 +37,7 @@ FOREGROUND_NOISE = 0.1
 MIN_CONTRAST = 0.4       # guaranteed fg-vs-bg mean intensity gap
 
 CHECKPOINT_MAGIC = b"PLCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------- shapes
@@ -253,11 +254,13 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
                     prompts: PromptSet) -> None:
-    items = state.tensor_items() + prompts.tensor_items()
+    payload = state.to_bytes() + prompts.to_bytes()
     header = {
         "config": cfg.to_dict(),
         "max_text_len": MAX_TEXT_LEN,
-        "tensors": [[name, list(t.shape)] for name, t in items],
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "tensors": [[name, list(t.shape)] for name, t in
+                    state.tensor_items() + prompts.tensor_items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with atomic_open(path, "wb") as f:
@@ -265,13 +268,16 @@ def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for _, t in items:
-            f.write(t.data.astype("<f8").tobytes())
+        f.write(payload)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as (config, state, prompts), validating
-    layout against the embedded config and rejecting non-finite values."""
+    """Read a checkpoint back as (config, state, prompts).
+
+    The header's config builds a fresh model whose ``tensor_items()`` are
+    the layout the file must match, name by name and then shape by shape;
+    each tensor is then checked finite and copied into that model, and the
+    payload must match the header's sha256."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError("corrupt checkpoint")
@@ -285,31 +291,29 @@ def load_checkpoint(path):
         header = json.loads(raw[16:16 + hlen].decode())
         cfg = ModelConfig.from_dict(header["config"])
         entries = [(str(n), tuple(s)) for n, s in header["tensors"]]
+        digest = header["sha256"]
+        state = EncoderState.initialize(cfg, seed=0)
+        prompts = PromptSet.initialize(cfg, seed=0)
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError("corrupt checkpoint") from e
 
-    expected = dict(EncoderState.expected_shapes(cfg))
-    expected.update(PromptSet.expected_shapes(cfg))
-    if [n for n, _ in entries] != list(expected):
+    template = state.tensor_items() + prompts.tensor_items()
+    if [n for n, _ in entries] != [n for n, _ in template]:
         raise ValueError("corrupt checkpoint")
-    for name, shape in entries:
-        if shape != expected[name]:
-            raise ValueError(
-                f"shape mismatch for {name}: file has {shape}, "
-                f"config implies {expected[name]}")
+    for (name, shape), (_, t) in zip(entries, template):
+        if shape != t.shape:
+            raise ValueError(f"shape mismatch for {name}: file has {shape}, "
+                             f"config implies {t.shape}")
 
     offset = 16 + hlen
-    payload = sum(int(np.prod(s)) * 8 for _, s in entries)
-    if len(raw) - offset != payload:
+    if len(raw) - offset != sum(t.data.nbytes for _, t in template):
         raise ValueError("corrupt checkpoint")
-    tensors = {}
-    for name, shape in entries:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    for name, t in template:
+        arr = np.frombuffer(raw, dtype="<f8", count=t.size, offset=offset)
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in {name}")
-        tensors[name] = arr.reshape(shape).copy()
-        offset += count * 8
-    state = EncoderState.from_tensors(cfg, tensors)
-    prompts = PromptSet.from_tensors(cfg, tensors)
+        t.data[...] = arr.reshape(t.shape)
+        offset += arr.nbytes
+    if hashlib.sha256(memoryview(raw)[16 + hlen:]).hexdigest() != digest:
+        raise ValueError("corrupt checkpoint: payload sha256 mismatch")
     return cfg, state, prompts

@@ -134,28 +134,6 @@ class PromptSet:
     def to_bytes(self) -> bytes:
         return b"".join(t.data.astype("<f8").tobytes() for _, t in self.tensor_items())
 
-    @classmethod
-    def expected_shapes(cls, cfg: ModelConfig) -> dict:
-        shapes = {}
-        if cfg.visual_prompt_len > 0:
-            for i in range(cfg.prompt_depth):
-                shapes[f"visual_prompt_{i}"] = (cfg.visual_prompt_len, cfg.visual_width)
-        if cfg.text_prompt_len > 0:
-            for i in range(cfg.prompt_depth):
-                shapes[f"textual_prompt_{i}"] = (cfg.text_prompt_len, cfg.text_width)
-        return shapes
-
-    @classmethod
-    def from_tensors(cls, cfg: ModelConfig, tensors: dict) -> "PromptSet":
-        visual, textual = [], []
-        if cfg.visual_prompt_len > 0:
-            visual = [Tensor(np.array(tensors[f"visual_prompt_{i}"], dtype=np.float64),
-                             requires_grad=True) for i in range(cfg.prompt_depth)]
-        if cfg.text_prompt_len > 0:
-            textual = [Tensor(np.array(tensors[f"textual_prompt_{i}"], dtype=np.float64),
-                              requires_grad=True) for i in range(cfg.prompt_depth)]
-        return cls(visual, textual)
-
 
 @dataclass
 class LayerWeights:
@@ -178,9 +156,6 @@ class LayerWeights:
     w2: Tensor
     b2: Tensor
 
-    FIELDS = ("ln1_gamma", "ln1_beta", "wq", "bq", "wk", "bk", "wv", "bv",
-              "wo", "bo", "ln2_gamma", "ln2_beta", "w1", "b1", "w2", "b2")
-
     @classmethod
     def initialize(cls, width: int, rng: np.random.Generator) -> "LayerWeights":
         hidden = MLP_RATIO * width
@@ -196,20 +171,6 @@ class LayerWeights:
             w2=Tensor(rng.normal(size=(hidden, width)) / np.sqrt(hidden)),
             b2=Tensor(np.zeros(width)),
         )
-
-    @classmethod
-    def expected_shapes(cls, width: int) -> dict:
-        hidden = MLP_RATIO * width
-        return {
-            "ln1_gamma": (width,), "ln1_beta": (width,),
-            "wq": (width, width), "bq": (width,),
-            "wk": (width, width), "bk": (width,),
-            "wv": (width, width), "bv": (width,),
-            "wo": (width, width), "bo": (width,),
-            "ln2_gamma": (width,), "ln2_beta": (width,),
-            "w1": (width, hidden), "b1": (hidden,),
-            "w2": (hidden, width), "b2": (width,),
-        }
 
 
 @dataclass
@@ -251,6 +212,7 @@ class EncoderState:
         )
 
     def tensor_items(self) -> list:
+        """Every tensor by its checkpoint name, in file order."""
         items = [
             ("patch_embed", self.patch_embed), ("patch_bias", self.patch_bias),
             ("class_token", self.class_token), ("pos_image", self.pos_image),
@@ -259,52 +221,13 @@ class EncoderState:
         ]
         for side, layers in (("image", self.image_layers), ("text", self.text_layers)):
             for i, lw in enumerate(layers):
-                for name in LayerWeights.FIELDS:
-                    items.append((f"{side}_layer_{i}_{name}", getattr(lw, name)))
+                items += [(f"{side}_layer_{i}_{f.name}", getattr(lw, f.name))
+                          for f in fields(lw)]
         items += [("img_proj", self.img_proj), ("text_proj", self.text_proj)]
         return items
 
     def to_bytes(self) -> bytes:
         return b"".join(t.data.astype("<f8").tobytes() for _, t in self.tensor_items())
-
-    @classmethod
-    def expected_shapes(cls, cfg: ModelConfig) -> dict:
-        shapes = {
-            "patch_embed": (cfg.patch_dim, cfg.visual_width),
-            "patch_bias": (cfg.visual_width,),
-            "class_token": (cfg.visual_width,),
-            "pos_image": (cfg.num_patches, cfg.visual_width),
-            "token_table": (cfg.vocab_size, cfg.text_width),
-            "eos_token": (cfg.text_width,),
-            "pos_text": (MAX_TEXT_LEN, cfg.text_width),
-        }
-        for side, width in (("image", cfg.visual_width), ("text", cfg.text_width)):
-            per_layer = LayerWeights.expected_shapes(width)
-            for i in range(cfg.depth):
-                for name, shp in per_layer.items():
-                    shapes[f"{side}_layer_{i}_{name}"] = shp
-        shapes["img_proj"] = (cfg.visual_width, cfg.shared_width)
-        shapes["text_proj"] = (cfg.text_width, cfg.shared_width)
-        return shapes
-
-    @classmethod
-    def from_tensors(cls, cfg: ModelConfig, tensors: dict) -> "EncoderState":
-        def t(name):
-            return Tensor(np.array(tensors[name], dtype=np.float64))
-
-        sides = {}
-        for side in ("image", "text"):
-            sides[side] = [LayerWeights(**{f: t(f"{side}_layer_{i}_{f}")
-                                           for f in LayerWeights.FIELDS})
-                           for i in range(cfg.depth)]
-        return cls(
-            patch_embed=t("patch_embed"), patch_bias=t("patch_bias"),
-            class_token=t("class_token"), pos_image=t("pos_image"),
-            token_table=t("token_table"), eos_token=t("eos_token"),
-            pos_text=t("pos_text"),
-            image_layers=sides["image"], text_layers=sides["text"],
-            img_proj=t("img_proj"), text_proj=t("text_proj"),
-        )
 
 
 # ----------------------------------------------------------- embeddings

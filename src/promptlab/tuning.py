@@ -67,25 +67,28 @@ class TextBank:
 _EMPTY_PROMPTS = PromptSet([], [])
 
 
-def _text_rep(name: str, prompts: PromptSet, cfg: ModelConfig,
+def text_rows(class_names, prompts: PromptSet, cfg: ModelConfig,
               state: EncoderState) -> Tensor:
-    res = encode_text_prompted(tokenize_template(name), prompts, cfg, state)
-    return project_text(res.eos, state)
+    """Unit text rows ``(C, d)``, one per class prompt, encoded under
+    ``prompts``; a constant for detached or empty prompts."""
+    return ad.stack_rows([
+        project_text(encode_text_prompted(tokenize_template(n), prompts, cfg,
+                                          state).eos, state)
+        for n in class_names])
 
 
 def vanilla_text_rows(class_names, cfg: ModelConfig,
                       state: EncoderState) -> Tensor:
     """Promptless text bank rows; constant, safe to cache per run."""
-    rows = [_text_rep(n, _EMPTY_PROMPTS, cfg, state) for n in class_names]
-    return Tensor(np.stack([r.data for r in rows]))
+    return text_rows(class_names, _EMPTY_PROMPTS, cfg, state)
 
 
 def build_text_bank(class_names, prompts: PromptSet, cfg: ModelConfig,
                     state: EncoderState, vanilla_rows=None) -> TextBank:
-    rows = [_text_rep(n, prompts, cfg, state) for n in class_names]
+    rows = text_rows(class_names, prompts, cfg, state)
     if vanilla_rows is None:
         vanilla_rows = vanilla_text_rows(class_names, cfg, state)
-    return TextBank(prompted=ad.stack_rows(rows), vanilla=vanilla_rows,
+    return TextBank(prompted=rows, vanilla=vanilla_rows,
                     class_names=tuple(class_names))
 
 
@@ -289,8 +292,7 @@ class TrainResult:
 
 
 def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
-                           cfg: ModelConfig, state: EncoderState,
-                           vanilla_rows=None) -> float:
+                           cfg: ModelConfig, state: EncoderState) -> float:
     """Share of ``subset`` whose global branch picks the right class.
 
     Scoring builds no graph: prompts enter as detached views, and images
@@ -300,13 +302,12 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
     if len(subset) == 0:
         raise ValueError("empty evaluation subset")
     frozen = prompts.detached()
-    bank = build_text_bank(class_names, frozen, cfg, state,
-                           vanilla_rows=vanilla_rows)
+    rows = text_rows(class_names, frozen, cfg, state)
     correct = 0
     for start in range(0, len(subset), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
         res = encode_image_prompted(subset.images[chunk], frozen, cfg, state)
-        logits = ce_logits(project_global(res.cls, state), bank.prompted,
+        logits = ce_logits(project_global(res.cls, state), rows,
                            cfg.temperature)
         correct += _n_correct(logits.data, subset.labels[chunk])
     return correct / len(subset)
@@ -369,7 +370,7 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
         if len(rest) and epoch + 1 < epochs:
             rest_correct = round(len(rest) * global_branch_accuracy(
                 Batch(train_set.images[rest], train_set.labels[rest]),
-                class_names, prompts, cfg, state, vanilla_rows=vrows))
+                class_names, prompts, cfg, state))
     final = full_losses(prompts)
     rows[-1]["base_accuracy"] = final["accuracy"]
     return TrainResult(prompts=prompts, log_rows=rows, initial=initial,

@@ -6,11 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from promptlab.datagen import (CHECKPOINT_MAGIC, FAMILIES, MIN_CONTRAST,
-                               TEMPLATE, VOCAB, generate_dataset,
-                               load_checkpoint, sample_few_shot,
-                               save_checkpoint, select_classes, tokenize,
-                               tokenize_template)
+from promptlab.datagen import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                               FAMILIES, MIN_CONTRAST, TEMPLATE, VOCAB,
+                               generate_dataset, load_checkpoint,
+                               sample_few_shot, save_checkpoint,
+                               select_classes, tokenize, tokenize_template)
 from promptlab.encoders import EncoderState, ModelConfig, PromptSet
 
 
@@ -175,17 +175,31 @@ def test_template_matches_expected_phrase():
 
 # -------------------------------------------------------------- checkpoint
 
-def ckpt_fixture():
-    cfg = ModelConfig(visual_width=8, text_width=8, shared_width=4, depth=2,
-                      heads=2, patch_grid=(2, 2), image_size=4, vocab_size=12,
-                      visual_prompt_len=2, text_prompt_len=2)
+def ckpt_fixture(**overrides):
+    args = dict(visual_width=8, text_width=8, shared_width=4, depth=2,
+                heads=2, patch_grid=(2, 2), image_size=4, vocab_size=12,
+                visual_prompt_len=2, text_prompt_len=2)
+    cfg = ModelConfig(**{**args, **overrides})
     state = EncoderState.initialize(cfg, seed=7)
     prompts = PromptSet.initialize(cfg, seed=8)
     return cfg, state, prompts
 
 
-def test_checkpoint_roundtrip_bytes(tmp_path):
-    cfg, state, prompts = ckpt_fixture()
+def rewrite_header(raw: bytes, edit) -> bytes:
+    """``raw`` with its JSON header passed through ``edit``, payload kept."""
+    hlen = struct.unpack_from("<Q", raw, 8)[0]
+    header = json.loads(raw[16:16 + hlen].decode())
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+            + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"visual_prompt_len": 0}, {"text_prompt_len": 0}, {"prompt_depth": 1},
+], ids=["reference", "no_visual_prompts", "no_text_prompts", "shallow_prompts"])
+def test_checkpoint_roundtrip_bytes(tmp_path, overrides):
+    cfg, state, prompts = ckpt_fixture(**overrides)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(p1, cfg, state, prompts)
     cfg2, state2, prompts2 = load_checkpoint(p1)
@@ -222,7 +236,7 @@ def test_checkpoint_version_rejected(tmp_path):
     p = tmp_path / "a.ckpt"
     save_checkpoint(p, cfg, state, prompts)
     raw = bytearray(p.read_bytes())
-    raw[4:8] = struct.pack("<I", 2)
+    raw[4:8] = struct.pack("<I", 1)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
@@ -233,16 +247,27 @@ def test_checkpoint_cross_config_shape_mismatch(tmp_path):
     cfg, state, prompts = ckpt_fixture()
     p = tmp_path / "a.ckpt"
     save_checkpoint(p, cfg, state, prompts)
-    raw = p.read_bytes()
-    hlen = struct.unpack_from("<Q", raw, 8)[0]
-    header = json.loads(raw[16:16 + hlen].decode())
-    header["config"]["visual_prompt_len"] = 3
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    tampered = (CHECKPOINT_MAGIC + struct.pack("<I", 1)
-                + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+    tampered = rewrite_header(
+        p.read_bytes(),
+        lambda header: header["config"].update(visual_prompt_len=3))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(tampered)
     with pytest.raises(ValueError, match="shape mismatch"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda tensors: tensors.insert(0, tensors.pop()),
+    lambda tensors: tensors.pop(3),
+], ids=["reordered", "missing"])
+def test_checkpoint_tensor_list_must_match_layout(tmp_path, edit):
+    cfg, state, prompts = ckpt_fixture()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, cfg, state, prompts)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(rewrite_header(p.read_bytes(),
+                                   lambda header: edit(header["tensors"])))
+    with pytest.raises(ValueError, match="^corrupt checkpoint$"):
         load_checkpoint(bad)
 
 
@@ -277,3 +302,21 @@ def test_checkpoint_rejects_non_finite_tensor(tmp_path, name, value):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"non-finite values in {name}$"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_finite_payload_flips(tmp_path):
+    cfg, state, prompts = ckpt_fixture()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, cfg, state, prompts)
+    raw = p.read_bytes()
+    start = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    bad = tmp_path / "bad.ckpt"
+    # the low byte of a little-endian float64 is mantissa only, so every
+    # flipped value stays finite and only the digest can catch it
+    for offset in range(start, len(raw), 8 * 97):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 0x01
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError,
+                           match="corrupt checkpoint: payload sha256 mismatch"):
+            load_checkpoint(bad)

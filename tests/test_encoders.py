@@ -129,13 +129,6 @@ def test_state_initialization_is_deterministic():
     assert a.to_bytes() != c.to_bytes()
 
 
-def test_state_shapes_match_expected_table():
-    cfg = small_cfg(depth=3)
-    state = EncoderState.initialize(cfg, seed=0)
-    actual = {name: t.shape for name, t in state.tensor_items()}
-    assert actual == EncoderState.expected_shapes(cfg)
-
-
 def test_state_tensors_are_frozen():
     state = EncoderState.initialize(small_cfg(), seed=0)
     assert all(not t.requires_grad for _, t in state.tensor_items())
