@@ -48,7 +48,6 @@ for name, param, numeric in zip(["w", "b", "gamma", "beta"], params, fd):
 q = Tensor(rng.normal(size=(6, 4)))
 mask = np.zeros((6, 6), dtype=bool)
 mask[5, 4] = mask[4, 5] = True          # tokens 4 and 5 cannot see each other
-out, weights = ad.masked_attention(q, q, q, mask=mask, heads=2,
-                                   return_weights=True)
+out, weights = ad.masked_attention(q, q, q, mask=mask, heads=2)
 print(f"attention weight 5->4 (masked): {weights.data[:, 5, 4].max():.1f}")
 print(f"attention weight 5->3 (open):   {weights.data[:, 5, 3].max():.3f}")

@@ -35,9 +35,8 @@ print(f"class-token row masked anywhere: {bool(mask[0].any())}")
 
 # Deep insertion: every layer replaces the prompt rows with that layer's
 # own learned vectors, so prompts steer each block independently.
-res = encode_image_prompted(image, prompts, cfg, state,
-                            collect_attention=True)
-print(f"per-layer attention maps collected: {len(res.attentions)}, "
+res = encode_image_prompted(image, prompts, cfg, state)
+print(f"per-layer attention maps: {len(res.attentions)}, "
       f"each {res.attentions[0].shape} (heads, tokens, tokens)")
 
 # The text tower mirrors this with learned token prompts ahead of the

@@ -20,9 +20,8 @@ from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
 from promptlab.ensemble import (BranchLogits, ensemble_confidence,
                                 ensemble_equal, ensemble_threshold, predict,
                                 resolve_strategy, three_branch_logits)
-from promptlab.evalkit import (AttentionMap, accuracy, binarize_map,
-                               extract_attention_map, foreground_mass,
-                               gradcam_map, harmonic_mean,
+from promptlab.evalkit import (accuracy, binarize_map, extract_attention_map,
+                               foreground_mass, gradcam_map, harmonic_mean,
                                segmentation_metrics, upsample_nearest)
 from promptlab.tuning import (Batch, TextBank, TrainResult, build_text_bank,
                               compute_losses, forward_three_branch,
@@ -37,9 +36,9 @@ __all__ = [
     "BranchLogits", "ensemble_confidence", "ensemble_equal",
     "ensemble_threshold", "predict", "resolve_strategy",
     "three_branch_logits",
-    "AttentionMap", "accuracy", "binarize_map", "extract_attention_map",
-    "foreground_mass", "gradcam_map", "harmonic_mean",
-    "segmentation_metrics", "upsample_nearest",
+    "accuracy", "binarize_map", "extract_attention_map", "foreground_mass",
+    "gradcam_map", "harmonic_mean", "segmentation_metrics",
+    "upsample_nearest",
     "Batch", "TextBank", "TrainResult", "build_text_bank", "compute_losses",
     "forward_three_branch", "global_branch_accuracy", "train",
 ]

@@ -48,7 +48,7 @@ class Tensor:
     @property
     def is_constant(self) -> bool:
         """True when this tensor is detached from every learnable input."""
-        return not self.requires_grad and self.node is None
+        return not self.requires_grad
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -132,7 +132,7 @@ def as_tensor(x) -> Tensor:
 
 def _make(name: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
     out = Tensor(out_data)
-    if any(t.requires_grad or t.node is not None for t in inputs):
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = OpNode(name, inputs, vjp)
     return out
@@ -432,9 +432,9 @@ def cosine_similarity(a, b):
 
 # -- attention ------------------------------------------------------------
 
-def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
-                     return_weights: bool = False):
-    """Multi-head scaled dot-product attention with a boolean block mask.
+def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1):
+    """Multi-head scaled dot-product attention with a boolean block mask;
+    returns the output and the attention weights.
 
     ``q``, ``k`` and ``v`` are ``(..., n, d)``; the ``(n, n)`` mask and the
     weights' ``(..., heads, n, n)`` layout broadcast over the leading axes.
@@ -475,9 +475,7 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
     if mask is not None:
         weights = mul(weights, Tensor(np.where(mask, 0.0, 1.0)))
     out = reshape(transpose(matmul(weights, vh), split_heads), (*lead, n, d))
-    if return_weights:
-        return out, weights
-    return out
+    return out, weights
 
 
 # -- reverse pass ----------------------------------------------------------
@@ -485,35 +483,36 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1,
 def backward(output: Tensor) -> list:
     """Backpropagate from a scalar output, accumulating into ``.grad``.
 
-    Every tensor in the graph with ``requires_grad`` receives (or
-    accumulates onto) its gradient.  Returns the traced non-leaf tensors
-    in topological order.
+    Every leaf in the graph with ``requires_grad`` accumulates each
+    contribution onto its ``.grad`` as the reverse pass reaches it.
+    Returns the traced non-leaf tensors in topological order.
     """
     if output.data.size != 1:
         raise ValueError("backward requires scalar loss")
     record = _trace(output)
-    flowing: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
+    flowing: dict[int, np.ndarray] = {}
+    _flow(output, np.ones_like(output.data), flowing)
     for t in reversed(record):
         g = flowing.pop(id(t), None)
         if g is None:
             continue
         node = t.node
-        grads = node.vjp(g)
-        for parent, pg in zip(node.inputs, grads):
-            if pg is None or not (parent.requires_grad or parent.node is not None):
-                continue
-            key = id(parent)
-            flowing[key] = flowing[key] + pg if key in flowing else pg
-    # whatever is left in flight belongs to leaves; accumulate additively
-    index = {id(output): output}
-    for t in record:
-        for parent in t.node.inputs:
-            index[id(parent)] = parent
-    for key, g in flowing.items():
-        t = index[key]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+        for parent, pg in zip(node.inputs, node.vjp(g)):
+            if pg is not None:
+                _flow(parent, pg, flowing)
     return record
+
+
+def _flow(t: Tensor, g: np.ndarray, flowing: dict) -> None:
+    """Add ``g`` to the gradient flowing into ``t``: a leaf's lands on its
+    ``.grad`` at once, a non-leaf's waits in ``flowing`` for its turn."""
+    if not t.requires_grad:
+        return
+    if t.node is None:
+        t.grad = g if t.grad is None else t.grad + g
+    else:
+        key = id(t)
+        flowing[key] = flowing[key] + g if key in flowing else g
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

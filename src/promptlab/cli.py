@@ -347,8 +347,7 @@ def run_segment(cfg: ExperimentConfig, dataset: SyntheticDataset = None) -> dict
     out = _outdir(cfg)
     for tag, prompts in (("untrained", prompts0), ("trained", result.prompts)):
         bank = build_text_bank(base_names, prompts.detached(), mcfg, state)
-        maps = {token: [extract_attention_map(img, prompts, mcfg, state,
-                                              token).grid
+        maps = {token: [extract_attention_map(img, prompts, mcfg, state, token)
                         for img in eval_set.images] for token in tokens}
         maps["GradCAM"] = [gradcam_map(img, prompts, mcfg, state, bank)
                            for img in eval_set.images]
@@ -430,7 +429,7 @@ def run_ablate(cfg: ExperimentConfig) -> dict:
         mcfg = to_model_config(point)
         # identical training configs (the ensemble axis) share one run:
         # training is deterministic, so retraining would reproduce it anyway
-        key = str(sorted(mcfg.to_dict().items())) + str(use_aug)
+        key = (mcfg, use_aug)
         if key not in cache:
             ds = generate_dataset(point.n_classes, point.per_class,
                                   point.image_size, point.data_seed,

@@ -46,6 +46,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.prompt_depth is None:
             object.__setattr__(self, "prompt_depth", self.depth)
+        if self.heads < 1:
+            raise ValueError("heads must be at least 1")
         if self.visual_width % self.heads or self.text_width % self.heads:
             raise ValueError("encoder widths must be divisible by head count")
         if not 1 <= self.prompt_depth <= self.depth:
@@ -59,6 +61,8 @@ class ModelConfig:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
         rows, cols = self.patch_grid
+        if min(rows, cols) < 1:
+            raise ValueError("patch_grid sides must be at least 1")
         if self.image_size % rows or self.image_size % cols:
             raise ValueError("image_size must be divisible by the patch grid")
 
@@ -296,8 +300,7 @@ def _layer_forward(h: Tensor, lw: LayerWeights, heads: int,
     q = a @ lw.wq + lw.bq
     k = a @ lw.wk + lw.bk
     v = a @ lw.wv + lw.bv
-    att, weights = ad.masked_attention(q, k, v, mask=mask, heads=heads,
-                                       return_weights=True)
+    att, weights = ad.masked_attention(q, k, v, mask=mask, heads=heads)
     h = h + (att @ lw.wo + lw.bo)
     m = ad.layer_norm(h, lw.ln2_gamma, lw.ln2_beta)
     h = h + (ad.gelu(m @ lw.w1 + lw.b1) @ lw.w2 + lw.b2)
@@ -306,19 +309,20 @@ def _layer_forward(h: Tensor, lw: LayerWeights, heads: int,
 
 @dataclass
 class ImageEncodeResult:
-    """Final-layer outputs; a batched encode adds a leading (B,) axis."""
+    """Final-layer outputs and the arrays of every layer run; a batched
+    encode adds a leading (B,) axis."""
 
     cls: Tensor                      # final class embedding, (d_v,)
     patches: Tensor                  # final patch embeddings, (m, d_v)
     prompts: Optional[Tensor]        # final prompt embeddings, (V, d_v) or None
-    attentions: Optional[list] = None          # per-layer (heads, n, n) arrays
-    layer_input: Optional[np.ndarray] = None   # captured input of one layer
+    layer_inputs: list               # input (n, d_v) of each layer run
+    attentions: list                 # weights (heads, n, n) of each layer run
 
 
 @dataclass
 class TextEncodeResult:
     eos: Tensor
-    attentions: Optional[list] = None
+    attentions: list                 # weights (heads, n, n) of each layer
 
 
 def _checked_blocks(blocks: list, length: int, width: int,
@@ -334,30 +338,26 @@ def _checked_blocks(blocks: list, length: int, width: int,
 
 
 def _run_layers(h: Tensor, layers: list, blocks: list, heads: int,
-                mask=None, start_layer: int = 0,
-                collect_attention: bool = False, capture_layer_input=None):
+                mask=None, start_layer: int = 0):
     """Shared deep-prompt loop (VPT-deep): block ``j`` replaces the prompt
     slots for ``start_layer < j < len(blocks)``, and the outputs flow on
     after that.  ``h`` is ``(n, d)`` or a stack ``(B, n, d)`` that shares
-    each prompt block."""
+    each prompt block.  Returns the output with the input array and the
+    attention-weight array of every layer run (the forward's own arrays,
+    which no later operation writes to)."""
     n_keep = h.shape[-2] - (blocks[0].shape[0] if blocks else 0)
-    attentions = [] if collect_attention else None
-    captured = None
+    inputs, attentions = [], []
     for j in range(start_layer, len(layers)):
         if start_layer < j < len(blocks):
             h = ad.concat([h[..., :n_keep, :], blocks[j]], axis=-2)
-        if capture_layer_input == j:
-            captured = h.data.copy()
+        inputs.append(h.data)
         h, weights = _layer_forward(h, layers[j], heads, mask)
-        if collect_attention:
-            attentions.append(weights.data.copy())
-    return h, attentions, captured
+        attentions.append(weights.data)
+    return h, inputs, attentions
 
 
 def _image_layers(seq: Tensor, start_layer: int, blocks: list,
-                  cfg: ModelConfig, state: EncoderState, *,
-                  collect_attention: bool = False,
-                  capture_layer_input=None) -> ImageEncodeResult:
+                  cfg: ModelConfig, state: EncoderState) -> ImageEncodeResult:
     """The image layer loop from ``start_layer`` on a ``[class | patches |
     prompts]`` sequence whose prompt slots ``blocks`` decide."""
     m = cfg.num_patches
@@ -367,19 +367,16 @@ def _image_layers(seq: Tensor, start_layer: int, blocks: list,
                          f"and prompt set")
     mask = build_prompt_mask(num_prompts, 1 + m + num_prompts) \
         if cfg.mask_prompts and num_prompts else None
-    h, attentions, captured = _run_layers(
-        seq, state.image_layers, blocks, cfg.heads, mask,
-        start_layer=start_layer, collect_attention=collect_attention,
-        capture_layer_input=capture_layer_input)
+    h, inputs, attentions = _run_layers(seq, state.image_layers, blocks,
+                                        cfg.heads, mask, start_layer)
     return ImageEncodeResult(
         cls=h[..., 0, :], patches=h[..., 1:1 + m, :],
         prompts=h[..., 1 + m:, :] if num_prompts else None,
-        attentions=attentions, layer_input=captured)
+        layer_inputs=inputs, attentions=attentions)
 
 
 def encode_image_prompted(image, prompts: PromptSet, cfg: ModelConfig,
-                          state: EncoderState, *, collect_attention: bool = False,
-                          capture_layer_input=None) -> ImageEncodeResult:
+                          state: EncoderState) -> ImageEncodeResult:
     """Prompted image forward of one ``(size, size)`` image, or of a
     ``(B, size, size)`` stack at once: every result then gains a leading
     (B,) axis and the prompt blocks are shared.  An empty prompt set runs
@@ -390,23 +387,21 @@ def encode_image_prompted(image, prompts: PromptSet, cfg: ModelConfig,
     lead = patch_embeddings.shape[:-2]
     seq = ad.concat([ad.reshape(class_token, (*lead, 1, cfg.visual_width)),
                      patch_embeddings + state.pos_image, *blocks[:1]], axis=-2)
-    return _image_layers(seq, 0, blocks, cfg, state,
-                         collect_attention=collect_attention,
-                         capture_layer_input=capture_layer_input)
+    return _image_layers(seq, 0, blocks, cfg, state)
 
 
 def encode_image_from_layer(layer_input: Tensor, start_layer: int,
                             prompts: PromptSet, cfg: ModelConfig,
                             state: EncoderState) -> ImageEncodeResult:
-    """Resume the prompted image forward from a captured layer input."""
+    """Resume the prompted image forward from a layer input, such as an
+    entry of an earlier result's ``layer_inputs``."""
     blocks = _checked_blocks(prompts.visual, cfg.visual_prompt_len,
                              cfg.visual_width, cfg)
     return _image_layers(layer_input, start_layer, blocks, cfg, state)
 
 
 def encode_text_prompted(token_ids, prompts: PromptSet, cfg: ModelConfig,
-                         state: EncoderState, *,
-                         collect_attention: bool = False) -> TextEncodeResult:
+                         state: EncoderState) -> TextEncodeResult:
     """Prompted text forward of one token sequence; an empty prompt set
     runs the promptless (vanilla) route."""
     blocks = _checked_blocks(prompts.textual, cfg.text_prompt_len,
@@ -417,8 +412,7 @@ def encode_text_prompted(token_ids, prompts: PromptSet, cfg: ModelConfig,
     if n > 0:
         parts.append(word_embeddings + Tensor(state.pos_text.data[:n]))
     seq = ad.concat([*parts, *blocks[:1]], axis=0)
-    h, attentions, _ = _run_layers(seq, state.text_layers, blocks, cfg.heads,
-                                   collect_attention=collect_attention)
+    h, _, attentions = _run_layers(seq, state.text_layers, blocks, cfg.heads)
     return TextEncodeResult(eos=h[0], attentions=attentions)
 
 

@@ -27,7 +27,6 @@ class BranchLogits:
     global_: np.ndarray
     augmented: Optional[np.ndarray]
     vanilla: np.ndarray
-    tau: float
 
     def present(self) -> list:
         out = [self.global_]
@@ -50,7 +49,6 @@ def three_branch_logits(outputs: BranchOutputs, bank: TextBank,
         global_=ce_logits(outputs.global_rep, prompted, tau).data,
         augmented=aug,
         vanilla=ce_logits(outputs.vanilla_rep, vanilla, tau).data,
-        tau=tau,
     )
 
 

@@ -40,13 +40,6 @@ def harmonic_mean(base_acc: float, novel_acc: float) -> float:
 
 # ------------------------------------------------------ attention maps
 
-@dataclass
-class AttentionMap:
-    grid: np.ndarray   # patch_grid of nonnegative reals summing to 1
-    token: str         # "CLS" or "VP:i"
-    layer: int
-
-
 def _selector_index(selector: str, cfg: ModelConfig) -> int:
     sel = selector.strip()
     if sel.upper() == "CLS":
@@ -66,23 +59,16 @@ def _selector_index(selector: str, cfg: ModelConfig) -> int:
 
 def extract_attention_map(image, prompts: PromptSet, cfg: ModelConfig,
                           state: EncoderState,
-                          token_selector: str = "CLS") -> AttentionMap:
+                          token_selector: str = "CLS") -> np.ndarray:
     """Final-layer attention of the selected query token over the patch
-    tokens, head-averaged and renormalized to sum to 1."""
+    tokens, head-averaged and renormalized to sum to 1, as a
+    ``patch_grid`` array."""
     row_idx = _selector_index(token_selector, cfg)
-    res = encode_image_prompted(image, prompts.detached(), cfg, state,
-                                collect_attention=True)
+    res = encode_image_prompted(image, prompts.detached(), cfg, state)
     weights = res.attentions[-1].mean(axis=0)          # (n, n), heads merged
     m = cfg.num_patches
     row = weights[row_idx, 1:1 + m]                    # patch columns only
-    grid = (row / row.sum()).reshape(cfg.patch_grid)
-    return AttentionMap(grid=grid, token=token_selector.strip(),
-                        layer=cfg.depth - 1)
-
-
-def _grid_of(amap) -> np.ndarray:
-    grid = amap.grid if isinstance(amap, AttentionMap) else np.asarray(amap)
-    return np.asarray(grid, dtype=np.float64)
+    return (row / row.sum()).reshape(cfg.patch_grid)
 
 
 def _patch_blocks(image_size: int, grid_shape) -> tuple:
@@ -93,7 +79,7 @@ def _patch_blocks(image_size: int, grid_shape) -> tuple:
 
 
 def upsample_nearest(amap, image_size: int) -> np.ndarray:
-    grid = _grid_of(amap)
+    grid = np.asarray(amap, dtype=np.float64)
     sy, sx = _patch_blocks(image_size, grid.shape)
     return np.kron(grid, np.ones((sy, sx)))
 
@@ -101,7 +87,7 @@ def upsample_nearest(amap, image_size: int) -> np.ndarray:
 def binarize_map(amap, image_size: int) -> np.ndarray:
     """Foreground = strictly above the map's own mean; nearest-neighbor
     upsample from the patch grid to pixel resolution."""
-    grid = _grid_of(amap)
+    grid = np.asarray(amap, dtype=np.float64)
     fg = grid > grid.mean()
     sy, sx = _patch_blocks(image_size, grid.shape)
     return np.kron(fg, np.ones((sy, sx), dtype=bool))
@@ -110,7 +96,7 @@ def binarize_map(amap, image_size: int) -> np.ndarray:
 def foreground_mass(amap, gt_mask) -> float:
     """Fraction of the map's attention mass that falls on gt foreground,
     spreading each patch's mass uniformly over its pixels."""
-    grid = _grid_of(amap)
+    grid = np.asarray(amap, dtype=np.float64)
     gt = np.asarray(gt_mask, dtype=np.float64)
     sy, sx = _patch_blocks(gt.shape[0], grid.shape)
     gr, gc = grid.shape
@@ -194,8 +180,8 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
     class (highest-scoring class when class_index is None).  Only the
     layer input receives a gradient: prompts and bank enter as constants."""
     frozen = prompts.detached()
-    res = encode_image_prompted(image, frozen, cfg, state,
-                                capture_layer_input=cfg.depth - 1)
+    res = encode_image_prompted(image, frozen, cfg, state)
+    acts = res.layer_inputs[-1]
     m = cfg.num_patches
     rows = Tensor(bank.prompted.data)
     if class_index is None:
@@ -204,14 +190,13 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
     elif not 0 <= int(class_index) < rows.shape[0]:
         raise ValueError("class index out of range")
 
-    leaf = Tensor(res.layer_input, requires_grad=True)
+    leaf = Tensor(acts, requires_grad=True)
     resumed = encode_image_from_layer(leaf, cfg.depth - 1, frozen, cfg, state)
     sim = ad.cosine_similarity(project_global(resumed.cls, state),
                                rows[int(class_index)])
     ad.backward(sim)
     w = leaf.grad[1:1 + m].mean(axis=0)
-    acts = res.layer_input[1:1 + m]
-    return np.maximum(acts @ w, 0.0).reshape(cfg.patch_grid)
+    return np.maximum(acts[1:1 + m] @ w, 0.0).reshape(cfg.patch_grid)
 
 
 # ------------------------------------------------------------- exporters
@@ -219,7 +204,7 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
 def write_pgm(path, grid, maxval: int = 255) -> None:
     """Plain-text (P2) portable graymap, values scaled so the map maximum
     lands on ``maxval``; an all-zero map stays all zero."""
-    grid = _grid_of(grid)
+    grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError("PGM export expects a 2-D grid")
     top = grid.max()

@@ -135,8 +135,7 @@ def test_criterion_4_mask_semantics():
 
     # each prompt's attention output ignores the other prompts' keys/values
     base, _ = ad.masked_attention(Tensor(q), Tensor(k), Tensor(vv),
-                                  mask=mask, heads=heads,
-                                  return_weights=True)
+                                  mask=mask, heads=heads)
     for i in range(v):
         k2, v2 = k.copy(), vv.copy()
         for j in range(v):
@@ -144,16 +143,15 @@ def test_criterion_4_mask_semantics():
                 k2[start + j] = 0.0
                 v2[start + j] = 0.0
         out2, _ = ad.masked_attention(Tensor(q), Tensor(k2), Tensor(v2),
-                                      mask=mask, heads=heads,
-                                      return_weights=True)
+                                      mask=mask, heads=heads)
         assert np.array_equal(base.data[start + i], out2.data[start + i]), i
 
     # an all-false mask is bit-identical to no mask at all
-    plain = ad.masked_attention(Tensor(q), Tensor(k), Tensor(vv),
-                                mask=None, heads=heads)
-    allfalse = ad.masked_attention(Tensor(q), Tensor(k), Tensor(vv),
-                                   mask=np.zeros((n, n), dtype=bool),
-                                   heads=heads)
+    plain, _ = ad.masked_attention(Tensor(q), Tensor(k), Tensor(vv),
+                                   mask=None, heads=heads)
+    allfalse, _ = ad.masked_attention(Tensor(q), Tensor(k), Tensor(vv),
+                                      mask=np.zeros((n, n), dtype=bool),
+                                      heads=heads)
     assert np.array_equal(plain.data, allfalse.data)
     verdict(4, "prompt mask blocks exactly the prompt-to-prompt edges "
                "(exact equality)")
@@ -185,11 +183,11 @@ def test_criterion_5_branch_isolation(reference_run):
 def test_criterion_6_ensemble_contracts():
     rng = np.random.default_rng(3)
     g, a, v = (rng.normal(size=5) for _ in range(3))
-    lg = BranchLogits(global_=g, augmented=a, vanilla=v, tau=1.0)
+    lg = BranchLogits(global_=g, augmented=a, vanilla=v)
 
     # permutation invariance of equal weighting over branch roles
     for pg, pa, pv in ((a, v, g), (v, g, a), (g, v, a)):
-        other = BranchLogits(global_=pg, augmented=pa, vanilla=pv, tau=1.0)
+        other = BranchLogits(global_=pg, augmented=pa, vanilla=pv)
         assert np.allclose(ensemble_equal(lg), ensemble_equal(other),
                            atol=1e-12)
 
@@ -199,8 +197,7 @@ def test_criterion_6_ensemble_contracts():
     assert np.allclose(ensemble_threshold(lg, theta=1e-12),
                        ensemble_equal(lg), atol=0)
 
-    same = BranchLogits(global_=g, augmented=g.copy(), vanilla=g.copy(),
-                        tau=1.0)
+    same = BranchLogits(global_=g, augmented=g.copy(), vanilla=g.copy())
     for fn in (ensemble_equal, ensemble_confidence, ensemble_threshold):
         assert np.allclose(fn(same), g, atol=1e-12)
     verdict(6, "ensemble strategies obey their combination contracts "

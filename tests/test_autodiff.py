@@ -159,14 +159,15 @@ def _rand_qkv(n, d, seed):
 
 def test_masked_attention_allfalse_bit_identical():
     q, k, v = _rand_qkv(5, 8, 7)
-    plain = masked_attention(q, k, v, mask=None, heads=2)
-    masked = masked_attention(q, k, v, mask=np.zeros((5, 5), dtype=bool), heads=2)
+    plain, _ = masked_attention(q, k, v, mask=None, heads=2)
+    masked, _ = masked_attention(q, k, v, mask=np.zeros((5, 5), dtype=bool),
+                                 heads=2)
     assert np.array_equal(plain.data, masked.data)
 
 
 def test_masked_attention_singleton():
     q = Tensor([[2.0, -1.0]])
-    out = masked_attention(q, q, Tensor([[5.0, 7.0]]), mask=np.array([[False]]))
+    out, _ = masked_attention(q, q, Tensor([[5.0, 7.0]]), mask=np.array([[False]]))
     assert np.allclose(out.data, [[5.0, 7.0]], atol=0)
 
 
@@ -176,7 +177,7 @@ def test_masked_attention_hand_case():
     q = Tensor(np.eye(2))
     v = Tensor([[1.0, 2.0], [3.0, 4.0]])
     mask = np.array([[False, False], [True, False]])
-    out = masked_attention(q, q, v, mask=mask)
+    out, _ = masked_attention(q, q, v, mask=mask)
     assert np.allclose(out.data[0], [1.6604769013466861, 2.6604769013466861],
                        atol=1e-14)
     assert np.array_equal(out.data[1], [3.0, 4.0])
@@ -198,11 +199,11 @@ def test_masked_attention_masked_targets_do_not_leak():
     mask = np.zeros((n, n), dtype=bool)
     mask[2, [0, 4]] = True
     mask[5, 1] = True
-    base = masked_attention(q, k, v, mask=mask, heads=2).data
+    base = masked_attention(q, k, v, mask=mask, heads=2)[0].data
     k2, v2 = Tensor(k.data.copy()), Tensor(v.data.copy())
     k2.data[[0, 4]] += 100.0
     v2.data[[0, 4]] -= 50.0
-    out = masked_attention(q, k2, v2, mask=mask, heads=2).data
+    out = masked_attention(q, k2, v2, mask=mask, heads=2)[0].data
     assert np.array_equal(base[2], out[2])
 
 
@@ -211,7 +212,7 @@ def test_masked_attention_rows_sum_to_one_over_unmasked():
     q, k, v = _rand_qkv(n, d, 31)
     mask = np.zeros((n, n), dtype=bool)
     mask[0, 1] = mask[3, [0, 2]] = True
-    _, w = masked_attention(q, k, v, mask=mask, return_weights=True)
+    _, w = masked_attention(q, k, v, mask=mask)
     assert np.allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
     assert (w.data[:, mask] == 0.0).all()
 
@@ -220,13 +221,11 @@ def test_masked_attention_batched_equals_per_slice():
     q, k, v = (Tensor(RNG.normal(size=(3, 5, 4))) for _ in range(3))
     mask = np.zeros((5, 5), dtype=bool)
     mask[3, 4] = mask[4, 3] = True
-    out, w = masked_attention(q, k, v, mask=mask, heads=2,
-                              return_weights=True)
+    out, w = masked_attention(q, k, v, mask=mask, heads=2)
     assert out.shape == (3, 5, 4) and w.shape == (3, 2, 5, 5)
     for b in range(3):
         one, w1 = masked_attention(Tensor(q.data[b]), Tensor(k.data[b]),
-                                   Tensor(v.data[b]), mask=mask, heads=2,
-                                   return_weights=True)
+                                   Tensor(v.data[b]), mask=mask, heads=2)
         assert np.array_equal(out.data[b], one.data)
         assert np.array_equal(w.data[b], w1.data)
 
@@ -430,13 +429,13 @@ def _scenario(name, seed):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = mask[3, 0] = True
         return [q, k, v], lambda: ad.tsum(
-            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)))
+            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)[0]))
     if name == "attention_batched":
         q, k, v = t(2, 4, 6), t(2, 4, 6), t(2, 4, 6)
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = mask[3, 0] = True
         return [q, k, v], lambda: ad.tsum(
-            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)))
+            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)[0]))
     raise KeyError(name)
 
 

@@ -384,6 +384,18 @@ def test_main_validation_failures_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("heads", 0), ("heads", -4),
+                                       ("patch_grid", 0)])
+def test_main_rejects_nonpositive_heads_and_grid(tmp_path, capsys, key,
+                                                 value):
+    ini = write_tiny_ini(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["train", "--config", ini, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
 def test_main_runtime_failures_exit_2(tmp_path, monkeypatch):
     def boom(cfg):
         raise ValueError("diverged")

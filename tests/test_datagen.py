@@ -256,6 +256,20 @@ def test_checkpoint_cross_config_shape_mismatch(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": [0, 4]}],
+                         ids=["zero_heads", "zero_grid_side"])
+def test_checkpoint_header_config_that_cannot_build_is_corrupt(tmp_path,
+                                                               config):
+    cfg, state, prompts = ckpt_fixture()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, cfg, state, prompts)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(rewrite_header(
+        p.read_bytes(), lambda header: header["config"].update(config)))
+    with pytest.raises(ValueError, match="^corrupt checkpoint$"):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize("edit", [
     lambda tensors: tensors.insert(0, tensors.pop()),
     lambda tensors: tensors.pop(3),

@@ -225,8 +225,8 @@ def test_prompted_tokens_extend_plain_sequence_rows():
     p = PromptSet.initialize(cfg, seed=4)
     image = np.random.default_rng(3).uniform(size=(4, 4))
     _, E0 = embed_image(image, cfg, state)
-    res = encode_image_prompted(image, p, cfg, state, capture_layer_input=0)
-    first = res.layer_input
+    res = encode_image_prompted(image, p, cfg, state)
+    first = res.layer_inputs[0]
     assert first.shape == (1 + 4 + 2, 8)
     assert np.array_equal(first[0], state.class_token.data)
     assert np.array_equal(first[1:5], E0.data + state.pos_image.data)
@@ -240,9 +240,9 @@ def test_replacement_feeds_fresh_parameters_each_layer():
     state = EncoderState.initialize(cfg, seed=8)
     p = PromptSet.initialize(cfg, seed=9)
     image = np.random.default_rng(1).uniform(size=(4, 4))
+    res = encode_image_prompted(image, p, cfg, state)
     for j in range(3):
-        res = encode_image_prompted(image, p, cfg, state, capture_layer_input=j)
-        assert np.array_equal(res.layer_input[-2:], p.visual[j].data)
+        assert np.array_equal(res.layer_inputs[j][-2:], p.visual[j].data)
 
 
 def test_shallow_prompts_propagate_after_prompt_depth():
@@ -251,9 +251,9 @@ def test_shallow_prompts_propagate_after_prompt_depth():
     p = PromptSet.initialize(cfg, seed=9)
     assert len(p.visual) == 1
     image = np.random.default_rng(1).uniform(size=(4, 4))
-    res = encode_image_prompted(image, p, cfg, state, capture_layer_input=1)
+    res = encode_image_prompted(image, p, cfg, state)
     # layer 1 sees transformer outputs in the prompt slots, not parameters
-    assert not np.array_equal(res.layer_input[-2:], p.visual[0].data)
+    assert not np.array_equal(res.layer_inputs[1][-2:], p.visual[0].data)
     assert res.prompts.shape == (2, 8)
 
 
@@ -287,8 +287,9 @@ def test_mask_blocks_cross_prompt_attention_in_every_layer():
     state = EncoderState.initialize(cfg, seed=13)
     p = PromptSet.initialize(cfg, seed=14)
     image = np.random.default_rng(6).uniform(size=(4, 4))
-    res = encode_image_prompted(image, p, cfg, state, collect_attention=True)
+    res = encode_image_prompted(image, p, cfg, state)
     start = 1 + cfg.num_patches
+    assert len(res.attentions) == cfg.depth
     for w in res.attentions:
         assert w.shape == (2, 8, 8)
         for i in range(3):
@@ -343,7 +344,8 @@ def test_text_encoder_is_unmasked():
     cfg = small_cfg()
     state = EncoderState.initialize(cfg, seed=17)
     p = PromptSet.initialize(cfg, seed=18)
-    res = encode_text_prompted([1, 2], p, cfg, state, collect_attention=True)
+    res = encode_text_prompted([1, 2], p, cfg, state)
+    assert len(res.attentions) == cfg.depth
     for w in res.attentions:
         assert (w > 0).all()
 
@@ -456,13 +458,29 @@ def test_resume_from_captured_layer_input():
     prompts = PromptSet.initialize(cfg, seed=26)
     image = np.random.default_rng(15).uniform(size=(4, 4))
     last = cfg.depth - 1
-    full = encode_image_prompted(image, prompts, cfg, state,
-                                 capture_layer_input=last)
-    resumed = encode_image_from_layer(Tensor(full.layer_input.copy()), last,
-                                      prompts, cfg, state)
+    full = encode_image_prompted(image, prompts, cfg, state)
+    resumed = encode_image_from_layer(Tensor(full.layer_inputs[last].copy()),
+                                      last, prompts, cfg, state)
     assert np.array_equal(resumed.cls.data, full.cls.data)
     assert np.array_equal(resumed.patches.data, full.patches.data)
     assert np.array_equal(resumed.prompts.data, full.prompts.data)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_resume_reports_every_layer_it_runs(start):
+    cfg = small_cfg(depth=3)
+    state = EncoderState.initialize(cfg, seed=25)
+    prompts = PromptSet.initialize(cfg, seed=26)
+    image = np.random.default_rng(15).uniform(size=(4, 4))
+    full = encode_image_prompted(image, prompts, cfg, state)
+    assert len(full.layer_inputs) == len(full.attentions) == cfg.depth
+    x = Tensor(full.layer_inputs[start].copy())
+    resumed = encode_image_from_layer(x, start, prompts, cfg, state)
+    assert len(resumed.layer_inputs) == len(resumed.attentions) \
+        == cfg.depth - start
+    assert np.array_equal(resumed.layer_inputs[0], x.data)
+    for got, want in zip(resumed.attentions, full.attentions[start:]):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- batching
@@ -475,22 +493,18 @@ def test_batched_encode_slices_equal_single_image_encodes(kw):
     state = EncoderState.initialize(cfg, seed=27)
     p = PromptSet.initialize(cfg, seed=28)
     images = np.random.default_rng(16).uniform(size=(3, 4, 4))
-    last = cfg.depth - 1
     c0, E0 = embed_image(images, cfg, state)
     assert c0.shape == (3, 8) and E0.shape == (3, 4, 8)
-    batched = encode_image_prompted(images, p, cfg, state,
-                                    collect_attention=True,
-                                    capture_layer_input=last)
+    batched = encode_image_prompted(images, p, cfg, state)
     for b, image in enumerate(images):
         c, E = embed_image(image, cfg, state)
         assert np.array_equal(c0.data[b], c.data)
         assert np.array_equal(E0.data[b], E.data)
-        one = encode_image_prompted(image, p, cfg, state,
-                                    collect_attention=True,
-                                    capture_layer_input=last)
+        one = encode_image_prompted(image, p, cfg, state)
         assert np.array_equal(batched.cls.data[b], one.cls.data)
         assert np.array_equal(batched.patches.data[b], one.patches.data)
-        assert np.array_equal(batched.layer_input[b], one.layer_input)
+        for xb, x in zip(batched.layer_inputs, one.layer_inputs):
+            assert np.array_equal(xb[b], x)
         for wb, w in zip(batched.attentions, one.attentions):
             assert np.array_equal(wb[b], w)
         np.testing.assert_allclose(project_global(batched.cls, state).data[b],

@@ -18,10 +18,9 @@ from promptlab.tuning import (BranchOutputs, TextBank, augmented_logits,
                               sim_augmented)
 
 
-def mk(g, a, v, tau=1.0):
+def mk(g, a, v):
     conv = lambda x: None if x is None else np.asarray(x, dtype=np.float64)
-    return BranchLogits(global_=conv(g), augmented=conv(a), vanilla=conv(v),
-                        tau=tau)
+    return BranchLogits(global_=conv(g), augmented=conv(a), vanilla=conv(v))
 
 
 def softmax_oracle(v):

@@ -13,7 +13,7 @@ from promptlab.autodiff import Tensor
 from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
                                 build_prompt_mask, encode_image_from_layer,
                                 encode_image_prompted, project_global)
-from promptlab.evalkit import (AttentionMap, SegmentationMetrics, accuracy,
+from promptlab.evalkit import (SegmentationMetrics, accuracy,
                                average_precision, binarize_map,
                                extract_attention_map, foreground_mass,
                                gradcam_map, harmonic_mean, mean_metrics,
@@ -110,9 +110,9 @@ def test_attention_map_single_patch_is_one():
                       text_prompt_len=2, visual_prompt_len=2)
     state = EncoderState.initialize(cfg, seed=0)
     prompts = PromptSet.initialize(cfg, seed=1)
-    amap = extract_attention_map(small_image(), prompts, cfg, state, "CLS")
-    assert amap.grid.shape == (1, 1)
-    assert amap.grid[0, 0] == 1.0
+    grid = extract_attention_map(small_image(), prompts, cfg, state, "CLS")
+    assert grid.shape == (1, 1)
+    assert grid[0, 0] == 1.0
 
 
 def test_attention_map_uniform_when_patches_identical():
@@ -120,19 +120,18 @@ def test_attention_map_uniform_when_patches_identical():
     state.patch_embed.data[:] = 0.0
     state.pos_image.data[:] = 0.0
     prompts = PromptSet.initialize(SMALL, seed=1)
-    amap = extract_attention_map(small_image(), prompts, SMALL, state, "CLS")
-    assert np.allclose(amap.grid, 0.25, atol=1e-12)
+    grid = extract_attention_map(small_image(), prompts, SMALL, state, "CLS")
+    assert np.allclose(grid, 0.25, atol=1e-12)
 
 
 def test_attention_map_sums_to_one():
     state = EncoderState.initialize(SMALL, seed=2)
     prompts = PromptSet.initialize(SMALL, seed=3)
     for sel in ("CLS", "VP:0", "VP:1"):
-        amap = extract_attention_map(small_image(1), prompts, SMALL, state, sel)
-        assert abs(amap.grid.sum() - 1.0) < 1e-10
-        assert (amap.grid >= 0).all()
-        assert amap.grid.shape == tuple(SMALL.patch_grid)
-        assert amap.layer == SMALL.depth - 1 and amap.token == sel
+        grid = extract_attention_map(small_image(1), prompts, SMALL, state, sel)
+        assert abs(grid.sum() - 1.0) < 1e-10
+        assert (grid >= 0).all()
+        assert grid.shape == tuple(SMALL.patch_grid)
 
 
 def weights_oracle(image, prompts, cfg, state):
@@ -161,7 +160,7 @@ def test_attention_map_matches_hand_oracle():
         row = w[row_idx, 1:1 + m]
         want = (row / row.sum()).reshape(SMALL.patch_grid)
         got = extract_attention_map(image, prompts, SMALL, state, sel)
-        assert np.allclose(got.grid, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_attention_map_selector_validation():
@@ -201,13 +200,12 @@ def test_binarize_random_vs_direct_oracle():
     assert np.array_equal(mask, want)
 
 
-def test_binarize_accepts_attention_map_and_checks_divisibility():
-    amap = AttentionMap(grid=np.array([[0.9, 0.1], [0.1, 0.1]]),
-                        token="CLS", layer=0)
-    mask = binarize_map(amap, image_size=4)
+def test_binarize_accepts_grid_and_checks_divisibility():
+    grid = np.array([[0.9, 0.1], [0.1, 0.1]])
+    mask = binarize_map(grid, image_size=4)
     assert mask[:2, :2].all() and mask.sum() == 4
     with pytest.raises(ValueError, match="divisible"):
-        binarize_map(amap, image_size=5)
+        binarize_map(grid, image_size=5)
 
 
 def test_upsample_nearest_blocks():
@@ -364,12 +362,12 @@ def test_gradcam_zero_when_last_layer_inert():
 def test_gradcam_channel_weights_match_finite_differences():
     state, prompts, bank = gradcam_setup(seed=3)
     image = small_image(8)
-    res = encode_image_prompted(image, prompts, GCFG, state,
-                                capture_layer_input=GCFG.depth - 1)
+    res = encode_image_prompted(image, prompts, GCFG, state)
+    acts = res.layer_inputs[-1]
     m = GCFG.num_patches
     target = bank.prompted[0]
 
-    leaf = Tensor(res.layer_input.copy(), requires_grad=True)
+    leaf = Tensor(acts.copy(), requires_grad=True)
 
     def sim_of_leaf():
         out = encode_image_from_layer(leaf, GCFG.depth - 1, prompts, GCFG,
@@ -383,7 +381,7 @@ def test_gradcam_channel_weights_match_finite_differences():
     assert ad.max_relative_error(g_ad[1:1 + m], g_fd[1:1 + m]) < 1e-3
 
     got = gradcam_map(image, prompts, GCFG, state, bank, class_index=0)
-    want = np.maximum(res.layer_input[1:1 + m] @ g_ad[1:1 + m].mean(axis=0),
+    want = np.maximum(acts[1:1 + m] @ g_ad[1:1 + m].mean(axis=0),
                       0.0).reshape(GCFG.patch_grid)
     assert np.allclose(got, want, atol=1e-12)
 
