@@ -24,7 +24,7 @@ x = Tensor(rng.normal(size=(5, 4)))
 # to re-run the forward pass after nudging each parameter entry.
 def forward() -> Tensor:
     h = ad.layer_norm(ad.add(ad.matmul(x, w), b), gamma, beta)
-    p = ad.softmax(h, axis=-1)
+    p = ad.softmax(h)
     return ad.mul(ad.mean(ad.log(ad.add(p, Tensor(np.full(p.shape, 1e-9))))),
                   Tensor(np.asarray(-1.0)))
 

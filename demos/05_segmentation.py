@@ -44,8 +44,7 @@ print(f"mean    pixAcc {agg.pix_acc:.3f}  mIoU {agg.m_iou:.3f}  "
 
 # The same image through both map styles, saved for eyeballing.
 amap = extract_attention_map(ds.images[0], prompts, cfg, state, "CLS")
-gmap = gradcam_map(ds.images[0], prompts, cfg, state, bank,
-                   class_index=int(ds.labels[0]))
+gmap = gradcam_map(ds.images[0], prompts, cfg, state, bank)
 write_pgm("demo_attention.pgm", upsample_nearest(amap, cfg.image_size))
 write_pgm("demo_gradcam.pgm", upsample_nearest(gmap, cfg.image_size))
 print("wrote demo_attention.pgm and demo_gradcam.pgm")

@@ -310,10 +310,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make("sum", out, (a,), vjp)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     n = a.size if axis is None else a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return tsum(a, axis=axis) * (1.0 / n)
 
 
 def dot(a, b) -> Tensor:
@@ -329,10 +329,10 @@ def norm(a, keepdims: bool = False) -> Tensor:
 # -- linear algebra -------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix product.  Besides the 1-D/2-D cases, ``(..., n, d) @ (d, k)``
-    applies one weight to a stack (its gradient sums over the stack) and
-    ``(..., n, d) @ (..., d, m)`` multiplies equally shaped stacks slice by
-    slice."""
+    """Matrix product.  Besides ``(n, d) @ (d, k)`` and ``(d,) @ (d, k)``,
+    ``(..., n, d) @ (d, k)`` applies one weight to a stack (its gradient
+    sums over the stack) and ``(..., n, d) @ (..., d, m)`` multiplies
+    equally shaped stacks slice by slice."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
@@ -341,8 +341,6 @@ def matmul(a, b) -> Tensor:
         vjp = lambda g: (g @ bd.T,
                          ad.reshape(-1, ad.shape[-1]).T
                          @ g.reshape(-1, g.shape[-1]))
-    elif ad.ndim == 2 and bd.ndim == 1:
-        vjp = lambda g: (np.outer(g, bd), ad.T @ g)
     elif ad.ndim == 1 and bd.ndim == 2:
         vjp = lambda g: (bd @ g, np.outer(ad, g))
     elif ad.ndim == bd.ndim >= 3 and ad.shape[:-2] == bd.shape[:-2]:
@@ -357,13 +355,13 @@ def matmul(a, b) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(var + eps)
+    sigma = np.sqrt(var + LAYER_NORM_EPS)
     y = (xd - mu) / sigma
     out_data = y * gamma.data + beta.data
 
@@ -377,40 +375,26 @@ def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
     return _make("layer_norm", out_data, (x, gamma, beta), vjp)
 
 
-def softmax(x, axis: int = -1):
-    """Max-stabilized softmax along ``axis``.
-
-    Accepts a Tensor (differentiable) or any array-like (plain numpy
-    result).  Raises on empty input.
-    """
-    if isinstance(x, Tensor):
-        if x.size == 0:
-            raise ValueError("empty logits")
-        xd = x.data
-        p = _softmax_data(xd, axis)
-
-        def vjp(g):
-            return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
-
-        return _make("softmax", p, (x,), vjp)
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
+def softmax(x: Tensor) -> Tensor:
+    """Max-stabilized softmax along the last axis; raises on empty input."""
+    if x.size == 0:
         raise ValueError("empty logits")
-    return _softmax_data(arr, axis)
-
-
-def _softmax_data(xd: np.ndarray, axis: int) -> np.ndarray:
-    shifted = xd - xd.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    return _make("softmax", p, (x,), vjp)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
-    """log softmax via the detached-max logsumexp trick (exact gradient)."""
+def log_softmax(x) -> Tensor:
+    """Last-axis log softmax by the detached-max logsumexp (exact gradient)."""
     x = as_tensor(x)
-    m = Tensor(x.data.max(axis=axis, keepdims=True))  # constant shift
+    m = Tensor(x.data.max(axis=-1, keepdims=True))  # constant shift
     shifted = sub(x, m)
-    lse = log(tsum(exp(shifted), axis=axis, keepdims=True))
+    lse = log(tsum(exp(shifted), axis=-1, keepdims=True))
     return sub(shifted, lse)
 
 
@@ -471,7 +455,7 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1)
     scores = matmul(qh, transpose(kh, keys_t)) * (1.0 / math.sqrt(dh))
     if mask is not None:
         scores = add(scores, Tensor(np.where(mask, MASK_FILL, 0.0)))
-    weights = softmax(scores, axis=-1)
+    weights = softmax(scores)
     if mask is not None:
         weights = mul(weights, Tensor(np.where(mask, 0.0, 1.0)))
     out = reshape(transpose(matmul(weights, vh), split_heads), (*lead, n, d))

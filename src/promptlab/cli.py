@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (VOCAB, SyntheticDataset, atomic_open, generate_dataset,
-                      held_out, sample_few_shot, save_checkpoint,
-                      select_classes)
+from .datagen import (MIN_IMAGE_SIZE, VOCAB, SyntheticDataset, atomic_open,
+                      generate_dataset, held_out, sample_few_shot,
+                      save_checkpoint, select_classes)
 from .encoders import EncoderState, ModelConfig, PromptSet
 from .ensemble import predict, resolve_strategy
 from .evalkit import (accuracy, binarize_map, extract_attention_map,
@@ -189,6 +189,13 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("per_class must be positive")
     if not 1 <= cfg.shots <= cfg.per_class:
         raise ConfigError(f"shots must be in 1..per_class ({cfg.per_class})")
+    if cfg.image_size < MIN_IMAGE_SIZE:
+        raise ConfigError(f"image_size must be at least {MIN_IMAGE_SIZE}")
+    # the random streams take non-negative seeds only
+    for name, seeds in (("seed", [cfg.seed]), ("data_seed", [cfg.data_seed]),
+                        ("targets", cfg.targets)):
+        if any(s < 0 for s in seeds):
+            raise ConfigError(f"{name} must be nonnegative")
     if cfg.epochs < 1:
         raise ConfigError("epochs must be at least 1")
     if cfg.batch_size < 1:
@@ -329,13 +336,10 @@ def run_cross_dataset(cfg: ExperimentConfig) -> dict:
     return {"rows": rows, "result": result, "out": out}
 
 
-def run_segment(cfg: ExperimentConfig, dataset: SyntheticDataset = None) -> dict:
+def run_segment(cfg: ExperimentConfig) -> dict:
     mcfg = to_model_config(cfg)
-    ds = dataset if dataset is not None else generate_dataset(
-        cfg.n_classes, cfg.per_class, cfg.image_size, cfg.data_seed,
-        cfg.family_offset)
-    if getattr(ds, "gt_masks", None) is None:
-        raise ConfigError("segmentation needs a dataset with gt masks")
+    ds = generate_dataset(cfg.n_classes, cfg.per_class, cfg.image_size,
+                          cfg.data_seed, cfg.family_offset)
     state, prompts0, train_set, result = _train_run(cfg, mcfg, ds,
                                                     ds.base_classes)
     (base_names, eval_set), _ = _splits(ds, train_set)

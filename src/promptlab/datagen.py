@@ -35,6 +35,7 @@ BACKGROUND_LEVEL = 0.2   # background texture is uniform on [0, this]
 FOREGROUND_LEVEL = 0.85  # foreground intensity center
 FOREGROUND_NOISE = 0.1
 MIN_CONTRAST = 0.4       # guaranteed fg-vs-bg mean intensity gap
+MIN_IMAGE_SIZE = 8       # smallest canvas the shape renderer supports
 
 CHECKPOINT_MAGIC = b"PLCK"
 CHECKPOINT_VERSION = 2
@@ -122,11 +123,6 @@ class SyntheticDataset:
             "family_offset": self.family_offset,
         }
 
-    def save_manifest(self, path) -> None:
-        with atomic_open(path) as fh:
-            fh.write(json.dumps(self.manifest(), sort_keys=True, indent=1)
-                     + "\n")
-
 
 def generate_dataset(n_classes: int, per_class: int, image_size: int,
                      seed: int, family_offset: int = 0) -> SyntheticDataset:
@@ -134,8 +130,8 @@ def generate_dataset(n_classes: int, per_class: int, image_size: int,
         raise ValueError(f"n_classes must be in 2..{len(FAMILIES)}")
     if per_class < 1:
         raise ValueError("per_class must be positive")
-    if image_size < 8:
-        raise ValueError("image_size must be at least 8")
+    if image_size < MIN_IMAGE_SIZE:
+        raise ValueError(f"image_size must be at least {MIN_IMAGE_SIZE}")
     names = tuple(FAMILIES[(i + family_offset) % len(FAMILIES)]
                   for i in range(n_classes))
     images, labels, masks = [], [], []

@@ -44,10 +44,11 @@ class ModelConfig:
     mask_prompts: bool = True
 
     def __post_init__(self):
+        for name in ("depth", "heads", "visual_width", "text_width", "shared_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.prompt_depth is None:
             object.__setattr__(self, "prompt_depth", self.depth)
-        if self.heads < 1:
-            raise ValueError("heads must be at least 1")
         if self.visual_width % self.heads or self.text_width % self.heads:
             raise ValueError("encoder widths must be divisible by head count")
         if not 1 <= self.prompt_depth <= self.depth:
@@ -106,20 +107,17 @@ class PromptSet:
         self.textual = textual  # prompt_depth tensors of shape (T, d_t)
 
     @classmethod
-    def initialize(cls, cfg: ModelConfig, seed: int,
-                   std: float = PROMPT_INIT_STD) -> "PromptSet":
+    def initialize(cls, cfg: ModelConfig, seed: int) -> "PromptSet":
         visual, textual = [], []
         for i in range(cfg.prompt_depth):
             if cfg.visual_prompt_len > 0:
                 g = _stream(seed, 0, i)
-                visual.append(Tensor(
-                    std * g.normal(size=(cfg.visual_prompt_len, cfg.visual_width)),
-                    requires_grad=True))
+                visual.append(Tensor(PROMPT_INIT_STD * g.normal(size=(
+                    cfg.visual_prompt_len, cfg.visual_width)), requires_grad=True))
             if cfg.text_prompt_len > 0:
                 g = _stream(seed, 1, i)
-                textual.append(Tensor(
-                    std * g.normal(size=(cfg.text_prompt_len, cfg.text_width)),
-                    requires_grad=True))
+                textual.append(Tensor(PROMPT_INIT_STD * g.normal(size=(
+                    cfg.text_prompt_len, cfg.text_width)), requires_grad=True))
         return cls(visual, textual)
 
     def parameters(self) -> list:
@@ -273,8 +271,7 @@ def embed_text(token_ids, cfg: ModelConfig, state: EncoderState):
             raise ValueError(f"token id {i} out of vocabulary")
     if len(ids) > MAX_TEXT_LEN:
         raise ValueError("token sequence exceeds positional table")
-    rows = state.token_table.data[np.asarray(ids, dtype=int)] if ids else \
-        np.zeros((0, cfg.text_width))
+    rows = state.token_table.data[np.asarray(ids, dtype=int)]
     return Tensor(state.eos_token.data.copy()), Tensor(rows)
 
 
@@ -408,10 +405,9 @@ def encode_text_prompted(token_ids, prompts: PromptSet, cfg: ModelConfig,
                              cfg.text_width, cfg)
     eos_token, word_embeddings = embed_text(token_ids, cfg, state)
     n = word_embeddings.shape[0]
-    parts = [ad.reshape(eos_token, (1, cfg.text_width))]
-    if n > 0:
-        parts.append(word_embeddings + Tensor(state.pos_text.data[:n]))
-    seq = ad.concat([*parts, *blocks[:1]], axis=0)
+    seq = ad.concat([ad.reshape(eos_token, (1, cfg.text_width)),
+                     word_embeddings + Tensor(state.pos_text.data[:n]),
+                     *blocks[:1]], axis=0)
     h, _, attentions = _run_layers(seq, state.text_layers, blocks, cfg.heads)
     return TextEncodeResult(eos=h[0], attentions=attentions)
 

@@ -66,7 +66,7 @@ def ensemble_equal(logits: BranchLogits) -> np.ndarray:
 
 def branch_confidences(logits: BranchLogits) -> np.ndarray:
     """Max softmax probability of each branch, ``(K, ...)``."""
-    return softmax(_check_shapes(logits)).max(axis=-1)
+    return softmax(Tensor(_check_shapes(logits))).data.max(axis=-1)
 
 
 def ensemble_confidence(logits: BranchLogits) -> np.ndarray:

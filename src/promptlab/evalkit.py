@@ -19,6 +19,8 @@ from .encoders import (EncoderState, ModelConfig, PromptSet,
                        encode_image_from_layer, encode_image_prompted,
                        project_global)
 
+PGM_MAXVAL = 255  # white level of the exported graymaps
+
 
 # ------------------------------------------------------ scalar metrics
 
@@ -174,26 +176,23 @@ def mean_metrics(per_image) -> SegmentationMetrics:
 # -------------------------------------------------------------- GradCAM
 
 def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
-                state: EncoderState, bank, class_index=None) -> np.ndarray:
+                state: EncoderState, bank) -> np.ndarray:
     """relu(sum_c w_c A_jc) over final-layer input patch activations A,
-    with w_c the patch-mean gradient of the similarity score for the chosen
-    class (highest-scoring class when class_index is None).  Only the
-    layer input receives a gradient: prompts and bank enter as constants."""
+    with w_c the patch-mean gradient of the similarity score for the
+    highest-scoring class.  Only the layer input receives a gradient:
+    prompts and bank enter as constants."""
     frozen = prompts.detached()
     res = encode_image_prompted(image, frozen, cfg, state)
     acts = res.layer_inputs[-1]
     m = cfg.num_patches
     rows = Tensor(bank.prompted.data)
-    if class_index is None:
-        x_p = project_global(res.cls, state)
-        class_index = int(np.argmax(ad.cosine_similarity(x_p, rows).data))
-    elif not 0 <= int(class_index) < rows.shape[0]:
-        raise ValueError("class index out of range")
+    x_p = project_global(res.cls, state)
+    class_index = int(np.argmax(ad.cosine_similarity(x_p, rows).data))
 
     leaf = Tensor(acts, requires_grad=True)
     resumed = encode_image_from_layer(leaf, cfg.depth - 1, frozen, cfg, state)
     sim = ad.cosine_similarity(project_global(resumed.cls, state),
-                               rows[int(class_index)])
+                               rows[class_index])
     ad.backward(sim)
     w = leaf.grad[1:1 + m].mean(axis=0)
     return np.maximum(acts[1:1 + m] @ w, 0.0).reshape(cfg.patch_grid)
@@ -201,16 +200,16 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
 
 # ------------------------------------------------------------- exporters
 
-def write_pgm(path, grid, maxval: int = 255) -> None:
+def write_pgm(path, grid) -> None:
     """Plain-text (P2) portable graymap, values scaled so the map maximum
-    lands on ``maxval``; an all-zero map stays all zero."""
+    lands on ``PGM_MAXVAL``; an all-zero map stays all zero."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError("PGM export expects a 2-D grid")
     top = grid.max()
     scaled = np.zeros(grid.shape, dtype=int) if top <= 0 else \
-        np.rint(grid / top * maxval).astype(int)
-    lines = ["P2", f"{grid.shape[1]} {grid.shape[0]}", f"{maxval}"]
+        np.rint(grid / top * PGM_MAXVAL).astype(int)
+    lines = ["P2", f"{grid.shape[1]} {grid.shape[0]}", f"{PGM_MAXVAL}"]
     lines += [" ".join(str(v) for v in row) for row in scaled]
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -57,11 +57,6 @@ class BranchOutputs:
 class TextBank:
     prompted: Tensor   # (N_c, d_shared) unit rows, graph-carrying
     vanilla: Tensor    # (N_c, d_shared) unit rows, constant
-    class_names: tuple
-
-    @property
-    def n_classes(self) -> int:
-        return self.prompted.shape[0]
 
 
 _EMPTY_PROMPTS = PromptSet([], [])
@@ -88,8 +83,7 @@ def build_text_bank(class_names, prompts: PromptSet, cfg: ModelConfig,
     rows = text_rows(class_names, prompts, cfg, state)
     if vanilla_rows is None:
         vanilla_rows = vanilla_text_rows(class_names, cfg, state)
-    return TextBank(prompted=rows, vanilla=vanilla_rows,
-                    class_names=tuple(class_names))
+    return TextBank(prompted=rows, vanilla=vanilla_rows)
 
 
 def vanilla_image_rep(image, cfg: ModelConfig, state: EncoderState) -> Tensor:
@@ -228,8 +222,7 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
 class SGDMomentum:
     """Classic heavy-ball SGD: v <- mu*v + g, p <- p - lr*v."""
 
-    def __init__(self, momentum: float = MOMENTUM):
-        self.momentum = momentum
+    def __init__(self):
         self.velocity = None
 
     def step(self, values: list, grads: list, lr: float) -> list:
@@ -239,7 +232,7 @@ class SGDMomentum:
             raise ValueError("parameter count changed between steps")
         out = []
         for i, (p, g) in enumerate(zip(values, grads)):
-            self.velocity[i] = self.momentum * self.velocity[i] + g
+            self.velocity[i] = MOMENTUM * self.velocity[i] + g
             out.append(p - lr * self.velocity[i])
         return out
 
@@ -313,6 +306,7 @@ def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
     return correct / len(subset)
 
 
+@np.errstate(all="raise", under="ignore")  # the attention mask underflows
 def train(train_set: Subset, class_names, prompts: PromptSet,
           cfg: ModelConfig, state: EncoderState, *, epochs: int,
           batch_size: int, lr: float, seed: int,
@@ -322,7 +316,10 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
     An epoch's ``base_accuracy`` scores the whole set under the prompts the
     epoch ended with: the next epoch's first step scores its batch through
     its CE logits, a standalone pass scores the other rows (none when one
-    batch holds the set), and the last epoch's value is ``final``'s."""
+    batch holds the set), and the last epoch's value is ``final``'s.
+    Overflow, division by zero and invalid results raise
+    ``FloatingPointError`` where they happen; one raised in a step names its
+    epoch and step, both counted from 0."""
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
     if lr < 0:
@@ -351,10 +348,14 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
             idx = order[start:start + batch_size]
             batch = Batch(images=train_set.images[idx],
                           labels=train_set.labels[idx])
-            prompts, stats = train_step(
-                batch, prompts, cfg, state, lr, class_names,
-                optimizer=optimizer, vanilla_rows=vrows,
-                vanilla_reps=vreps[idx], use_aug=use_aug)
+            try:
+                prompts, stats = train_step(
+                    batch, prompts, cfg, state, lr, class_names,
+                    optimizer=optimizer, vanilla_rows=vrows,
+                    vanilla_reps=vreps[idx], use_aug=use_aug)
+            except FloatingPointError as e:   # keeps the raising frame
+                e.args = (f"{e} at epoch {epoch}, step {steps}",)
+                raise
             if start == 0 and rows:   # add counts, divide once, as n rows
                 correct = rest_correct + round(stats["accuracy"] * len(idx))
                 rows[-1]["base_accuracy"] = correct / n

@@ -68,8 +68,7 @@ def test_criterion_2_equation_identities():
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(2, 6))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(rows.copy()),
-                    class_names=("a", "b"))
+    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(rows.copy()))
     x = rng.normal(size=6)
     x /= np.linalg.norm(x)
 

@@ -266,15 +266,6 @@ def test_segment_outputs(tmp_path):
     assert text.startswith("P2\n")
 
 
-def test_segment_requires_gt_masks(tmp_path):
-    cfg = tiny(out=str(tmp_path / "s"))
-    ds = generate_dataset(cfg.n_classes, cfg.per_class, cfg.image_size,
-                          cfg.data_seed)
-    ds = replace(ds, gt_masks=None)
-    with pytest.raises(ConfigError, match="gt masks"):
-        run_segment(cfg, dataset=ds)
-
-
 def test_segment_reproducible(tmp_path):
     a = run_segment(tiny(out=str(tmp_path / "a")))["out"]
     b = run_segment(tiny(out=str(tmp_path / "b")))["out"]
@@ -394,6 +385,35 @@ def test_main_rejects_nonpositive_heads_and_grid(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", -1), ("data_seed", -1), ("targets", (7, -2)), ("image_size", 4),
+    ("shared_width", 0), ("visual_width", 0), ("text_width", 0), ("depth", 0)])
+def test_main_rejects_values_that_would_fail_at_run_time(tmp_path, capsys,
+                                                         key, value):
+    ini = write_tiny_ini(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["eval", "--config", ini, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("lr", 1e300), ("temperature", 1e-300)])
+def test_main_overflow_exits_2_naming_epoch_and_step(tmp_path, key, value):
+    ini = tmp_path / "exp.ini"
+    save_config(replace(reference_config(), epochs=3, **{key: value}), ini)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "promptlab.cli", "train", "--config", str(ini),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 2
+    assert done.stderr == (
+        "runtime error: overflow encountered in square at epoch 1, step 1 "
+        "(FloatingPointError in promptlab.autodiff.layer_norm)\n")
 
 
 def test_main_runtime_failures_exit_2(tmp_path, monkeypatch):

@@ -79,11 +79,9 @@ def test_family_offset_rotates_classes():
     assert not np.array_equal(ds.images, base.images)
 
 
-def test_manifest_roundtrip(tmp_path):
+def test_manifest_roundtrip():
     ds = small_dataset(seed=9)
-    p = tmp_path / "manifest.json"
-    ds.save_manifest(p)
-    m = json.loads(p.read_text())
+    m = json.loads(json.dumps(ds.manifest()))
     assert m["seed"] == 9
     assert m["class_names"] == list(ds.class_names)
     assert m["base_classes"] == [0, 2]
@@ -256,8 +254,9 @@ def test_checkpoint_cross_config_shape_mismatch(tmp_path):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": [0, 4]}],
-                         ids=["zero_heads", "zero_grid_side"])
+@pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": [0, 4]},
+                                    {"visual_width": 0}],
+                         ids=["zero_heads", "zero_grid_side", "zero_width"])
 def test_checkpoint_header_config_that_cannot_build_is_corrupt(tmp_path,
                                                                config):
     cfg, state, prompts = ckpt_fixture()

@@ -168,10 +168,10 @@ def test_empty_prompts_bit_identical_to_plain_transformer():
     assert np.array_equal(res.patches.data, plain[1:])
     assert res.prompts is None
 
-    ids = [1, 3, 5]
-    tres = encode_text_prompted(ids, p, cfg, state)
-    tplain = _oracle_plain_text(ids, cfg, state)
-    assert np.array_equal(tres.eos.data, tplain[0])
+    for ids in ([1, 3, 5], []):   # no words: the sequence is eos alone
+        tres = encode_text_prompted(ids, p, cfg, state)
+        tplain = _oracle_plain_text(ids, cfg, state)
+        assert np.array_equal(tres.eos.data, tplain[0])
 
 
 def test_empty_prompt_set_is_the_plain_route_under_a_prompted_config():

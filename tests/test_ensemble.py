@@ -39,8 +39,7 @@ def hand_logits(glob, rows, aug=None, vanilla_rows=None, tau=0.5):
         global_rep=Tensor(np.asarray(glob, dtype=np.float64)),
         augmented_reps=None if aug is None else Tensor(np.asarray(aug, float)),
         vanilla_rep=Tensor(np.asarray(glob, dtype=np.float64)))
-    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(vrows),
-                    class_names=tuple(str(i) for i in range(len(rows))))
+    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(vrows))
     return three_branch_logits(outputs, bank, tau)
 
 
@@ -84,8 +83,7 @@ def test_three_branch_logits_global_matches_loss_ce():
     rng = np.random.default_rng(11)
     rep = rng.normal(size=6)
     rows = rng.normal(size=(3, 6))
-    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(rows.copy()),
-                    class_names=("a", "b", "c"))
+    bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(rows.copy()))
     tau = 0.5
     logits = hand_logits(rep, rows, tau=tau).global_
     for y in range(3):
@@ -389,6 +387,6 @@ def test_predict_tie_breaks_to_lowest_index():
     row = np.zeros(cfg.shared_width)
     row[0] = 1.0
     same = Tensor(np.stack([row, row, row]))
-    bank = TextBank(prompted=same, vanilla=same, class_names=("a", "b", "c"))
+    bank = TextBank(prompted=same, vanilla=same)
     for strategy in ("equal", "confidence", "threshold"):
         assert predict(image, prompts, cfg, state, bank, strategy) == 0

@@ -19,7 +19,7 @@ from promptlab.evalkit import (SegmentationMetrics, accuracy,
                                gradcam_map, harmonic_mean, mean_metrics,
                                segmentation_metrics, upsample_nearest,
                                write_csv, write_pgm)
-from promptlab.tuning import build_text_bank
+from promptlab.tuning import TextBank, build_text_bank
 
 # 4x4 hand case: 5 TP, 1 FP, 2 FN, 8 TN (worked out by hand, see docstring)
 HAND_GT = np.array([[1, 1, 0, 0],
@@ -332,20 +332,17 @@ def test_gradcam_deterministic_and_default_class():
     a = gradcam_map(image, prompts, GCFG, state, bank)
     b = gradcam_map(image, prompts, GCFG, state, bank)
     assert np.array_equal(a, b)
-    # default class = the highest-similarity class
+    # the map is the highest-similarity class's: a bank of that row alone
+    # gives the same map
     res = encode_image_prompted(image, prompts, GCFG, state)
     x_p = project_global(res.cls, state)
     sims = [ad.cosine_similarity(x_p, bank.prompted[i]).item()
             for i in range(2)]
-    explicit = gradcam_map(image, prompts, GCFG, state, bank,
-                           class_index=int(np.argmax(sims)))
-    assert np.array_equal(a, explicit)
-
-
-def test_gradcam_rejects_bad_class():
-    state, prompts, bank = gradcam_setup()
-    with pytest.raises(ValueError, match="class index"):
-        gradcam_map(small_image(), prompts, GCFG, state, bank, class_index=7)
+    top = int(np.argmax(sims))
+    only_top = TextBank(prompted=Tensor(bank.prompted.data[top:top + 1]),
+                        vanilla=bank.vanilla)
+    assert np.array_equal(a, gradcam_map(image, prompts, GCFG, state,
+                                         only_top))
 
 
 def test_gradcam_zero_when_last_layer_inert():
@@ -365,7 +362,8 @@ def test_gradcam_channel_weights_match_finite_differences():
     res = encode_image_prompted(image, prompts, GCFG, state)
     acts = res.layer_inputs[-1]
     m = GCFG.num_patches
-    target = bank.prompted[0]
+    sims = ad.cosine_similarity(project_global(res.cls, state), bank.prompted)
+    target = bank.prompted[int(np.argmax(sims.data))]   # the top class
 
     leaf = Tensor(acts.copy(), requires_grad=True)
 
@@ -380,7 +378,7 @@ def test_gradcam_channel_weights_match_finite_differences():
                                             [leaf], step=1e-5)
     assert ad.max_relative_error(g_ad[1:1 + m], g_fd[1:1 + m]) < 1e-3
 
-    got = gradcam_map(image, prompts, GCFG, state, bank, class_index=0)
+    got = gradcam_map(image, prompts, GCFG, state, bank)
     want = np.maximum(acts[1:1 + m] @ g_ad[1:1 + m].mean(axis=0),
                       0.0).reshape(GCFG.patch_grid)
     assert np.allclose(got, want, atol=1e-12)

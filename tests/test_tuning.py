@@ -33,13 +33,11 @@ AUG_TABLE_ORACLE = 0.22041740991845093  # per-class means (0.6, -0.1), tau 0.5
 LN2 = 0.6931471805599453
 
 
-def hand_bank(rows, vanilla=None, names=None):
+def hand_bank(rows, vanilla=None):
     rows = np.asarray(rows, dtype=np.float64)
     if vanilla is None:
         vanilla = rows.copy()
-    names = names or tuple(str(i) for i in range(len(rows)))
-    return TextBank(prompted=Tensor(rows), vanilla=Tensor(np.asarray(vanilla)),
-                    class_names=tuple(names))
+    return TextBank(prompted=Tensor(rows), vanilla=Tensor(np.asarray(vanilla)))
 
 
 def bank_from_cosines(cosines):
@@ -140,8 +138,7 @@ def test_loss_aug_single_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     aug = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     rows = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    bank = TextBank(prompted=rows, vanilla=Tensor(rows.data.copy()),
-                    class_names=("a", "b", "c", "d"))
+    bank = TextBank(prompted=rows, vanilla=Tensor(rows.data.copy()))
 
     def make_loss():
         return loss_aug_single(aug, bank, 2, tau=0.5)
@@ -371,7 +368,7 @@ def test_loss_total_gradients_match_finite_differences():
 # -------------------------------------------------------------- optimizer
 
 def test_sgd_momentum_hand_update():
-    opt = SGDMomentum(momentum=0.9)
+    opt = SGDMomentum()
     p = [np.array([1.0])]
     p = opt.step(p, [np.array([0.5])], lr=0.1)
     assert np.isclose(p[0][0], 0.95, atol=1e-15)
