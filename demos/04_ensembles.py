@@ -30,7 +30,7 @@ outputs = forward_three_branch(image, prompts, cfg, state)
 logits = three_branch_logits(outputs, bank, cfg.temperature)
 
 print(f"true class: {names[label]!r}")
-for tag, vec in zip(("global", "augmented", "vanilla"), logits.present()):
+for tag, vec in zip(("global", "augmented", "vanilla"), logits):
     print(f"  {tag:9s} logits {np.round(vec, 3)}")
 
 conf = branch_confidences(logits)

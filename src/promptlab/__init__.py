@@ -17,9 +17,9 @@ from promptlab.datagen import (SyntheticDataset, generate_dataset, held_out,
                                save_checkpoint, select_classes, tokenize)
 from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
                                 build_prompt_mask)
-from promptlab.ensemble import (BranchLogits, ensemble_confidence,
-                                ensemble_equal, ensemble_threshold, predict,
-                                resolve_strategy, three_branch_logits)
+from promptlab.ensemble import (ensemble_confidence, ensemble_equal,
+                                ensemble_threshold, predict, resolve_strategy,
+                                three_branch_logits)
 from promptlab.evalkit import (accuracy, binarize_map, extract_attention_map,
                                foreground_mass, gradcam_map, harmonic_mean,
                                segmentation_metrics, upsample_nearest)
@@ -33,9 +33,8 @@ __all__ = [
     "SyntheticDataset", "generate_dataset", "held_out", "load_checkpoint",
     "sample_few_shot", "save_checkpoint", "select_classes", "tokenize",
     "EncoderState", "ModelConfig", "PromptSet", "build_prompt_mask",
-    "BranchLogits", "ensemble_confidence", "ensemble_equal",
-    "ensemble_threshold", "predict", "resolve_strategy",
-    "three_branch_logits",
+    "ensemble_confidence", "ensemble_equal", "ensemble_threshold", "predict",
+    "resolve_strategy", "three_branch_logits",
     "accuracy", "binarize_map", "extract_attention_map", "foreground_mass",
     "gradcam_map", "harmonic_mean", "segmentation_metrics",
     "upsample_nearest",

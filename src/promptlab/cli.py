@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (MIN_IMAGE_SIZE, VOCAB, SyntheticDataset, atomic_open,
-                      generate_dataset, held_out, sample_few_shot,
-                      save_checkpoint, select_classes)
+from .datagen import (FAMILIES, MIN_IMAGE_SIZE, VOCAB, SyntheticDataset,
+                      atomic_open, generate_dataset, held_out,
+                      sample_few_shot, save_checkpoint, select_classes,
+                      tokenize_template)
 from .encoders import EncoderState, ModelConfig, PromptSet
 from .ensemble import predict, resolve_strategy
 from .evalkit import (accuracy, binarize_map, extract_attention_map,
@@ -29,7 +31,6 @@ from .evalkit import (accuracy, binarize_map, extract_attention_map,
 from .tuning import (EVAL_CHUNK, LOG_COLUMNS, build_text_bank,
                      global_branch_accuracy, train)
 
-PROTOCOLS = ("base-to-novel", "cross-dataset", "segment", "ablate")
 STRATEGIES = ("equal", "confidence", "threshold")
 ABLATE_AXES = ("depth", "length", "loss", "ensemble")
 LOSS_VARIANTS = ("full", "no-aug", "no-consistency", "ce-only")
@@ -67,7 +68,6 @@ class ExperimentConfig:
     family_offset: int = 0
     shots: int = 16
     # run
-    protocol: str = "base-to-novel"
     strategy: str = ""               # empty = report every strategy
     seed: int = 3
     out: str = "runs/exp"
@@ -85,8 +85,8 @@ SECTIONS = {
     "data": ("n_classes", "per_class", "image_size", "data_seed",
              "family_offset", "shots"),
     "train": ("lr", "batch_size", "epochs"),
-    "run": ("protocol", "strategy", "seed", "out", "targets",
-            "target_family_offset", "ablate_axis", "ablate_values"),
+    "run": ("strategy", "seed", "out", "targets", "target_family_offset",
+            "ablate_axis", "ablate_values"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -180,9 +180,6 @@ def to_model_config(cfg: ExperimentConfig) -> ModelConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {cfg.protocol!r}; "
-                          f"choose from {', '.join(PROTOCOLS)}")
     if not 2 <= cfg.n_classes <= 8:
         raise ConfigError("n_classes must be in 2..8")
     if cfg.per_class < 1:
@@ -210,6 +207,22 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.ablate_axis not in ABLATE_AXES:
         raise ConfigError(f"unknown ablation axis {cfg.ablate_axis!r}")
     to_model_config(cfg)   # surface model-level validation errors now
+    # a run's largest arrays are one layer's float64 attention weights,
+    # heads x n x n per sequence: for a batch (or an eval chunk) of
+    # [class | patches | prompts] images, or for one [eos | words | prompts]
+    # class text
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n_image = 1 + cfg.patch_grid ** 2 + cfg.visual_prompt_len
+    n_text = 1 + len(tokenize_template(FAMILIES[0])) + cfg.text_prompt_len
+    for name, nbytes in (
+            ("visual_prompt_len",
+             max(cfg.batch_size, EVAL_CHUNK) * cfg.heads * n_image ** 2 * 8),
+            ("text_prompt_len", cfg.heads * n_text ** 2 * 8)):
+        if nbytes > memory:
+            raise ConfigError(
+                f"{name} = {getattr(cfg, name)} needs {nbytes / 2**30:,.1f} "
+                f"GiB of attention weights, more than the "
+                f"{memory / 2**30:,.1f} GiB of physical memory")
 
 
 # ------------------------------------------------------------ run helpers
@@ -462,13 +475,6 @@ RUNNERS = {
     "ablate": run_ablate,
 }
 
-_COMMAND_PROTOCOL = {
-    "train": "base-to-novel",
-    "eval": "cross-dataset",
-    "segment": "segment",
-    "ablate": "ablate",
-}
-
 
 # --------------------------------------------------------------- arg parsing
 
@@ -481,14 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="promptlab",
                      description="miniature prompt-tuning laboratory")
     sub = parser.add_subparsers(dest="command")
-    helps = {
-        "train": "few-shot base-class training + base-to-novel report",
-        "eval": "cross-dataset transfer of trained prompts",
-        "segment": "attention/GradCAM foreground segmentation scoring",
-        "ablate": "sweep one design axis and tabulate accuracy",
-    }
-    for name in _COMMAND_PROTOCOL:
-        p = sub.add_parser(name, help=helps[name])
+    # each subcommand runs one protocol; a config cannot pick another
+    for name, protocol, text in (
+            ("train", "base-to-novel",
+             "few-shot base-class training + base-to-novel report"),
+            ("eval", "cross-dataset",
+             "cross-dataset transfer of trained prompts"),
+            ("segment", "segment",
+             "attention/GradCAM foreground segmentation scoring"),
+            ("ablate", "ablate",
+             "sweep one design axis and tabulate accuracy")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(protocol=protocol)
         p.add_argument("--config", help="INI experiment config")
         p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", help="output directory")
@@ -506,7 +516,6 @@ def main(argv=None) -> int:
             raise ConfigError("a subcommand is required "
                               "(train | eval | segment | ablate)")
         cfg = load_config(args.config) if args.config else reference_config()
-        cfg = replace(cfg, protocol=_COMMAND_PROTOCOL[args.command])
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.out:
@@ -519,7 +528,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        report = RUNNERS[cfg.protocol](cfg)
+        report = RUNNERS[args.protocol](cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -414,27 +414,19 @@ def encode_text_prompted(token_ids, prompts: PromptSet, cfg: ModelConfig,
 
 # ----------------------------------------------------------- projections
 
-def l2_normalize(v: Tensor) -> Tensor:
-    """Scale every row (the last axis) to unit length."""
-    length = ad.norm(v, keepdims=True)
-    if not length.data.all():
-        raise ValueError("degenerate vector")
-    return v / length
-
-
 def project_global(class_embedding: Tensor, state: EncoderState) -> Tensor:
-    """Class embedding (d_v,) or a batch (B, d_v) -> unit rows in the
-    shared space."""
-    return l2_normalize(class_embedding @ state.img_proj)
+    """Class embedding (d_v,) or a batch (B, d_v) -> rows in the shared
+    space."""
+    return class_embedding @ state.img_proj
 
 
 def project_text(eos_embedding: Tensor, state: EncoderState) -> Tensor:
-    return l2_normalize(eos_embedding @ state.text_proj)
+    return eos_embedding @ state.text_proj
 
 
 def project_augmented(prompt_embeddings: Tensor, state: EncoderState) -> Tensor:
     """Project every prompt output, (V, d_v) or (B, V, d_v), with the shared
-    image projection to unit rows."""
+    image projection."""
     if prompt_embeddings is None or prompt_embeddings.shape[-2] == 0:
         raise ValueError("augmented branch requires visual prompts")
-    return l2_normalize(prompt_embeddings @ state.img_proj)
+    return prompt_embeddings @ state.img_proj

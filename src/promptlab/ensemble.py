@@ -1,16 +1,14 @@
 """Logit-level self-ensemble over the three branch predictions.
 
-All functions here operate on plain numpy logits ``(..., C)``, one row per
-image, combined along the last axis (evaluation never needs gradients).
+All functions here operate on plain numpy logits stacked as ``(K, ..., C)``:
+K branches, one row per image, C classes along the last axis (evaluation
+never needs gradients).
 The global and augmented branches score against the prompted text bank;
 the vanilla branch keeps its zero-shot character by scoring against the
 promptless text bank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,75 +20,50 @@ from .tuning import (BranchOutputs, TextBank, augmented_logits, ce_logits,
 DEFAULT_THRESHOLD = 0.8
 
 
-@dataclass
-class BranchLogits:
-    global_: np.ndarray
-    augmented: Optional[np.ndarray]
-    vanilla: np.ndarray
-
-    def present(self) -> list:
-        out = [self.global_]
-        if self.augmented is not None:
-            out.append(self.augmented)
-        out.append(self.vanilla)
-        return out
-
-
 def three_branch_logits(outputs: BranchOutputs, bank: TextBank,
-                        tau: float) -> BranchLogits:
-    """Each branch's training logits as arrays: :func:`ce_logits` for the
-    global and vanilla reps, :func:`augmented_logits` for the augmented.
-    The bank enters as constants, so scoring builds no graph."""
+                        tau: float) -> np.ndarray:
+    """Each branch's training logits stacked as ``(K, ..., C)``: global and
+    vanilla by :func:`ce_logits`, and between them the augmented branch by
+    :func:`augmented_logits` when it is present (K = 3, else 2).  The bank
+    enters as constants, so scoring builds no graph."""
     prompted, vanilla = Tensor(bank.prompted.data), Tensor(bank.vanilla.data)
-    aug = None
+    branches = [ce_logits(outputs.global_rep, prompted, tau)]
     if outputs.augmented_reps is not None:
-        aug = augmented_logits(outputs.augmented_reps, prompted, tau).data
-    return BranchLogits(
-        global_=ce_logits(outputs.global_rep, prompted, tau).data,
-        augmented=aug,
-        vanilla=ce_logits(outputs.vanilla_rep, vanilla, tau).data,
-    )
+        branches.append(augmented_logits(outputs.augmented_reps, prompted,
+                                         tau))
+    branches.append(ce_logits(outputs.vanilla_rep, vanilla, tau))
+    return np.stack([b.data for b in branches])
 
 
-def _check_shapes(logits: BranchLogits) -> np.ndarray:
-    """The present branches stacked as ``(K, ..., C)``."""
-    vecs = logits.present()
-    if any(v.shape != vecs[0].shape for v in vecs):
-        raise ValueError("branch logits shape mismatch")
-    return np.stack(vecs)
+def ensemble_equal(logits: np.ndarray) -> np.ndarray:
+    return np.mean(logits, axis=0)
 
 
-def ensemble_equal(logits: BranchLogits) -> np.ndarray:
-    return np.mean(_check_shapes(logits), axis=0)
-
-
-def branch_confidences(logits: BranchLogits) -> np.ndarray:
+def branch_confidences(logits: np.ndarray) -> np.ndarray:
     """Max softmax probability of each branch, ``(K, ...)``."""
-    return softmax(Tensor(_check_shapes(logits))).data.max(axis=-1)
+    return softmax(Tensor(logits)).data.max(axis=-1)
 
 
-def ensemble_confidence(logits: BranchLogits) -> np.ndarray:
-    vecs = _check_shapes(logits)
+def ensemble_confidence(logits: np.ndarray) -> np.ndarray:
     conf = branch_confidences(logits)
     weights = conf / conf.sum(axis=0)
-    return np.sum(weights[..., None] * vecs, axis=0)
+    return np.sum(weights[..., None] * logits, axis=0)
 
 
-def ensemble_threshold(logits: BranchLogits,
+def ensemble_threshold(logits: np.ndarray,
                        theta: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Per row: mean of the branches above ``theta``, else ensemble_equal."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    vecs = _check_shapes(logits)
     keep = (branch_confidences(logits) > theta)[..., None]
     kept = keep.sum(axis=0)
-    mean_kept = np.where(keep, vecs, 0.0).sum(axis=0) / np.maximum(kept, 1)
+    mean_kept = np.where(keep, logits, 0.0).sum(axis=0) / np.maximum(kept, 1)
     return np.where(kept > 0, mean_kept, ensemble_equal(logits))
 
 
 def resolve_strategy(name: str):
     """Map a strategy string ('equal' | 'confidence' | 'threshold[:theta]')
-    to a function over BranchLogits."""
+    to a function over a ``(K, ..., C)`` logits stack."""
     name = name.strip().lower()
     if name == "equal":
         return ensemble_equal

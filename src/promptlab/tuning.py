@@ -48,15 +48,15 @@ class Batch:
 
 @dataclass
 class BranchOutputs:
-    global_rep: Tensor             # x_p, unit (..., d_shared)
-    augmented_reps: Optional[Tensor]  # (..., V, d_shared) unit, None if no prompts
-    vanilla_rep: Tensor            # x, unit (..., d_shared), prompt-free
+    global_rep: Tensor             # x_p, (..., d_shared)
+    augmented_reps: Optional[Tensor]  # (..., V, d_shared), None if no prompts
+    vanilla_rep: Tensor            # x, (..., d_shared), prompt-free
 
 
 @dataclass
 class TextBank:
-    prompted: Tensor   # (N_c, d_shared) unit rows, graph-carrying
-    vanilla: Tensor    # (N_c, d_shared) unit rows, constant
+    prompted: Tensor   # (N_c, d_shared) rows, graph-carrying
+    vanilla: Tensor    # (N_c, d_shared) rows, constant
 
 
 _EMPTY_PROMPTS = PromptSet([], [])
@@ -64,7 +64,7 @@ _EMPTY_PROMPTS = PromptSet([], [])
 
 def text_rows(class_names, prompts: PromptSet, cfg: ModelConfig,
               state: EncoderState) -> Tensor:
-    """Unit text rows ``(C, d)``, one per class prompt, encoded under
+    """Text rows ``(C, d)``, one per class prompt, encoded under
     ``prompts``; a constant for detached or empty prompts."""
     return ad.stack_rows([
         project_text(encode_text_prompted(tokenize_template(n), prompts, cfg,
@@ -143,35 +143,27 @@ def loss_consistency(prompted: Tensor, vanilla: Tensor) -> Tensor:
     return ad.sub(1.0, ad.cosine_similarity(prompted, vanilla))
 
 
-def sim_augmented(aug_reps: Optional[Tensor], z: Tensor) -> Tensor:
-    """Equal-weight mean of per-prompt cosine similarities to each text row.
+def augmented_logits(aug_reps: Optional[Tensor], rows: Tensor,
+                     tau: float) -> Tensor:
+    """The augmented branch's logits: the equal-weight mean of per-prompt
+    cosine similarities to each text row, over tau.
 
-    ``aug_reps`` is ``(V, d)``, or ``(B, V, d)`` for a batch; ``z`` is one
-    row ``(d,)`` or a bank ``(C, d)``, giving one similarity per row (per
+    ``aug_reps`` is ``(V, d)``, or ``(B, V, d)`` for a batch; ``rows`` is
+    one row ``(d,)`` or a bank ``(C, d)``, giving one logit per row (per
     image).
     """
     if aug_reps is None or aug_reps.shape[-2] == 0:
         raise ValueError("augmented branch requires visual prompts")
     *lead, n_prompts, width = aug_reps.shape
     per_prompt = ad.reshape(aug_reps, (*lead, n_prompts, 1, width))
-    return ad.mean(ad.cosine_similarity(per_prompt, z), axis=-2)
-
-
-def augmented_logits(aug_reps: Optional[Tensor], rows: Tensor,
-                     tau: float) -> Tensor:
-    """The augmented branch's logits, :func:`sim_augmented` over tau."""
-    return sim_augmented(aug_reps, rows) * (1.0 / tau)
+    return ad.mean(ad.cosine_similarity(per_prompt, rows), axis=-2) * \
+        (1.0 / tau)
 
 
 def loss_aug_single(aug_reps: Optional[Tensor], bank: TextBank, y,
                     tau: float) -> Tensor:
     """Cross entropy of the augmented branch; batched like :func:`loss_ce`."""
     return _nll(augmented_logits(aug_reps, bank.prompted, tau), y)
-
-
-def combine_global(ce, text, img, lambda1: float, lambda2: float):
-    """The weighted aggregate: CE + lambda1*text-pair + lambda2*image-pair."""
-    return ce + text * lambda1 + img * lambda2
 
 
 def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
@@ -203,8 +195,8 @@ def compute_losses(batch: Batch, prompts: PromptSet, cfg: ModelConfig,
     ce = ad.mean(_nll(logits, batch.labels))
     text = ad.mean(loss_consistency(bank.prompted, bank.vanilla))
     img = ad.mean(loss_consistency(x_p, vanilla))
-    glob = combine_global(ce, text, img, cfg.text_consistency_weight,
-                          cfg.image_consistency_weight)
+    glob = ce + text * cfg.text_consistency_weight + \
+        img * cfg.image_consistency_weight
     out = {"ce": ce, "text": text, "img": img, "global": glob, "accuracy":
            Tensor(_n_correct(logits.data, batch.labels) / len(batch))}
     if use_aug and res.prompts is not None:
@@ -333,7 +325,9 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
     full = Batch.from_subset(train_set)
 
     def full_losses(p):
-        losses = compute_losses(full, p.detached(), cfg, state, class_names,
+        p = p.detached()
+        bank = build_text_bank(class_names, p, cfg, state, vanilla_rows=vrows)
+        losses = compute_losses(full, p, cfg, state, class_names, bank=bank,
                                 vanilla_reps=vreps, use_aug=use_aug)
         return {k: float(v.item()) for k, v in losses.items()}
 

@@ -128,5 +128,4 @@ def oracle_prompted_text(ids, cfg, state, textual_prompts):
 
 
 def oracle_project(v, proj):
-    out = v @ proj
-    return out / np.sqrt((out * out).sum())
+    return v @ proj

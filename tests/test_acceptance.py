@@ -17,9 +17,8 @@ from promptlab.cli import load_config, run_base_to_novel
 from promptlab.datagen import generate_dataset
 from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
                                 build_prompt_mask)
-from promptlab.ensemble import (BranchLogits, branch_confidences,
-                                ensemble_confidence, ensemble_equal,
-                                ensemble_threshold)
+from promptlab.ensemble import (branch_confidences, ensemble_confidence,
+                                ensemble_equal, ensemble_threshold)
 from promptlab.evalkit import (extract_attention_map, foreground_mass,
                                harmonic_mean, segmentation_metrics)
 from promptlab.tuning import (Batch, TextBank, build_text_bank,
@@ -182,11 +181,11 @@ def test_criterion_5_branch_isolation(reference_run):
 def test_criterion_6_ensemble_contracts():
     rng = np.random.default_rng(3)
     g, a, v = (rng.normal(size=5) for _ in range(3))
-    lg = BranchLogits(global_=g, augmented=a, vanilla=v)
+    lg = np.stack([g, a, v])
 
     # permutation invariance of equal weighting over branch roles
     for pg, pa, pv in ((a, v, g), (v, g, a), (g, v, a)):
-        other = BranchLogits(global_=pg, augmented=pa, vanilla=pv)
+        other = np.stack([pg, pa, pv])
         assert np.allclose(ensemble_equal(lg), ensemble_equal(other),
                            atol=1e-12)
 
@@ -196,7 +195,7 @@ def test_criterion_6_ensemble_contracts():
     assert np.allclose(ensemble_threshold(lg, theta=1e-12),
                        ensemble_equal(lg), atol=0)
 
-    same = BranchLogits(global_=g, augmented=g.copy(), vanilla=g.copy())
+    same = np.stack([g, g.copy(), g.copy()])
     for fn in (ensemble_equal, ensemble_confidence, ensemble_threshold):
         assert np.allclose(fn(same), g, atol=1e-12)
     verdict(6, "ensemble strategies obey their combination contracts "

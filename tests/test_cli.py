@@ -90,7 +90,6 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
 
 def test_validate_catches_bad_fields():
     bad = [
-        (tiny(protocol="magic"), "unknown protocol"),
         (tiny(shots=9), "shots"),
         (tiny(epochs=0), "epochs"),
         (tiny(lr=-1.0), "lr"),
@@ -355,7 +354,6 @@ def test_main_flag_overrides(tmp_path):
                  "--strategy", "equal", "--seed", "1"]) == 0
     snap = load_config(out / "config.ini")
     assert snap.seed == 1 and snap.strategy == "equal"
-    assert snap.protocol == "base-to-novel"
 
 
 def test_main_validation_failures_exit_1(tmp_path, capsys):
@@ -396,6 +394,45 @@ def test_main_rejects_values_that_would_fail_at_run_time(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["eval", "--config", ini, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,protocol", [("train", "cross-dataset"),
+                                              ("segment", "magic")])
+def test_main_rejects_the_protocol_key(tmp_path, capsys, command, protocol):
+    # the subcommand alone picks the protocol
+    ini = Path(write_tiny_ini(tmp_path))
+    ini.write_text(ini.read_text() + f"protocol = {protocol}\n")  # in [run]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown config key [run] protocol\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("visual_prompt_len", 100000),
+                                       ("text_prompt_len", 1000000)])
+def test_main_rejects_prompts_too_long_for_physical_memory(tmp_path, key,
+                                                           value):
+    # a child process under a 1 GiB address-space limit, so a run that got
+    # past validation would fail fast rather than exhaust the machine
+    ini = tmp_path / "big.ini"
+    ini.write_text(f"[model]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from promptlab.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", child, "train", "--config", str(ini), "--out",
+         str(out)], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert done.stderr.startswith(f"error: {key} = {value} needs ")
+    assert done.stderr.endswith(" GiB of physical memory\n")
     assert not out.exists()
 
 

@@ -352,19 +352,21 @@ def test_text_encoder_is_unmasked():
 
 # -------------------------------------------------------------- projections
 
-def test_projections_are_unit_norm():
+def test_projections_are_unnormalized_products():
+    # the cosine scoring normalizes; a projection is the product alone
     cfg = small_cfg()
     state = EncoderState.initialize(cfg, seed=19)
     p = PromptSet.initialize(cfg, seed=20)
     image = np.random.default_rng(8).uniform(size=(4, 4))
     res = encode_image_prompted(image, p, cfg, state)
     x = project_global(res.cls, state)
-    assert abs(np.linalg.norm(x.data) - 1.0) < 1e-12
+    assert np.array_equal(x.data, res.cls.data @ state.img_proj.data)
     xa = project_augmented(res.prompts, state)
     assert xa.shape == (2, 4)
-    np.testing.assert_allclose(np.linalg.norm(xa.data, axis=1), 1.0, atol=1e-12)
-    z = project_text(encode_text_prompted([1], p, cfg, state).eos, state)
-    assert abs(np.linalg.norm(z.data) - 1.0) < 1e-12
+    assert np.array_equal(xa.data, res.prompts.data @ state.img_proj.data)
+    eos = encode_text_prompted([1], p, cfg, state).eos
+    z = project_text(eos, state)
+    assert np.array_equal(z.data, eos.data @ state.text_proj.data)
 
 
 def test_augmented_single_row_equals_global_projection():
@@ -381,15 +383,15 @@ def test_projection_matches_manual_formula():
     state = EncoderState.initialize(cfg, seed=19)
     v = np.random.default_rng(10).normal(size=8)
     manual = v @ state.img_proj.data
-    manual = manual / np.sqrt((manual * manual).sum())
     assert np.array_equal(project_global(Tensor(v.copy()), state).data, manual)
 
 
 def test_projection_errors():
     cfg = small_cfg()
     state = EncoderState.initialize(cfg, seed=19)
+    zero = project_global(Tensor(np.zeros(8)), state)
     with pytest.raises(ValueError, match="degenerate vector"):
-        project_global(Tensor(np.zeros(8)), state)
+        ad.cosine_similarity(zero, Tensor(np.ones(zero.shape)))
     with pytest.raises(ValueError, match="augmented branch requires visual prompts"):
         project_augmented(None, state)
     with pytest.raises(ValueError, match="augmented branch requires visual prompts"):
@@ -519,11 +521,12 @@ def test_batched_encode_slices_equal_single_image_encodes(kw):
             assert batched.prompts is None
 
 
-def test_l2_normalize_rejects_any_zero_row():
+def test_cosine_similarity_rejects_any_zero_row():
     rows = np.random.default_rng(17).normal(size=(3, 4))
     rows[1] = 0.0
-    with pytest.raises(ValueError, match="degenerate vector"):
-        enc.l2_normalize(Tensor(rows))
+    for a, b in ((rows, np.ones(4)), (np.ones(4), rows)):
+        with pytest.raises(ValueError, match="degenerate vector"):
+            ad.cosine_similarity(Tensor(a), Tensor(b))
     rows[1] = 1.0
-    out = enc.l2_normalize(Tensor(rows)).data
-    np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-15)
+    out = ad.cosine_similarity(Tensor(rows), Tensor(rows)).data
+    np.testing.assert_allclose(out, 1.0, atol=1e-15)

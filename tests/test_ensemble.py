@@ -1,5 +1,7 @@
 """Ensemble strategy contracts: hand cases, invariances, and integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,20 @@ from promptlab import autodiff as ad
 from promptlab.autodiff import Tensor
 from promptlab.datagen import generate_dataset, sample_few_shot
 from promptlab.encoders import EncoderState, ModelConfig, PromptSet
-from promptlab.ensemble import (BranchLogits, branch_confidences,
-                                ensemble_confidence, ensemble_equal,
-                                ensemble_threshold, predict, resolve_strategy,
-                                three_branch_logits)
+from promptlab.ensemble import (branch_confidences, ensemble_confidence,
+                                ensemble_equal, ensemble_threshold, predict,
+                                resolve_strategy, three_branch_logits)
 from promptlab.evalkit import extract_attention_map, gradcam_map
-from promptlab.tuning import (BranchOutputs, TextBank, augmented_logits,
-                              build_text_bank, ce_logits, forward_three_branch,
-                              global_branch_accuracy, loss_aug_single, loss_ce,
-                              sim_augmented)
+from promptlab.tuning import (Batch, BranchOutputs, TextBank, augmented_logits,
+                              build_text_bank, ce_logits, compute_losses,
+                              forward_three_branch, global_branch_accuracy,
+                              loss_aug_single, loss_ce)
 
 
 def mk(g, a, v):
-    conv = lambda x: None if x is None else np.asarray(x, dtype=np.float64)
-    return BranchLogits(global_=conv(g), augmented=conv(a), vanilla=conv(v))
+    """The ``(K, ..., C)`` stack of the present branches."""
+    return np.stack([np.asarray(x, dtype=np.float64) for x in (g, a, v)
+                     if x is not None])
 
 
 def softmax_oracle(v):
@@ -45,27 +47,27 @@ def hand_logits(glob, rows, aug=None, vanilla_rows=None, tau=0.5):
 
 def test_three_branch_logits_hand_case_1d():
     # rep e0 against identity bank: cosines (1, 0), scaled by 1/tau
-    lg = hand_logits([1.0, 0.0], np.eye(2), aug=[[1.0, 0.0]],
-                     vanilla_rows=np.eye(2)[::-1])
-    assert np.allclose(lg.global_, [2.0, 0.0], atol=1e-12)
-    assert np.allclose(lg.augmented, [2.0, 0.0], atol=1e-12)
-    assert np.allclose(lg.vanilla, [0.0, 2.0], atol=1e-12)   # its own rows
+    glob, aug, van = hand_logits([1.0, 0.0], np.eye(2), aug=[[1.0, 0.0]],
+                                 vanilla_rows=np.eye(2)[::-1])
+    assert np.allclose(glob, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(aug, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(van, [0.0, 2.0], atol=1e-12)   # its own rows
 
 
 def test_three_branch_logits_normalizes_inputs():
     # cosine is scale free on both sides, in every branch
     lg = hand_logits([3.0, 0.0], 7.0 * np.eye(2), aug=[[5.0, 0.0]])
-    for logits in lg.present():
+    for logits in lg:
         assert np.allclose(logits, [2.0, 0.0], atol=1e-12)
 
 
 def test_three_branch_logits_augmented_is_the_mean_of_rows():
     aug = np.array([[0.8, 0.6], [0.0, 1.0]])
     lg = hand_logits([1.0, 0.0], np.eye(2), aug=aug)
-    assert np.allclose(lg.augmented, [0.4 / 0.5, 0.8 / 0.5], atol=1e-12)
+    assert np.allclose(lg[1], [0.4 / 0.5, 0.8 / 0.5], atol=1e-12)
 
 
-def test_three_branch_logits_augmented_matches_sim_augmented():
+def test_three_branch_logits_augmented_matches_per_row_calls():
     rng = np.random.default_rng(7)
     aug = rng.normal(size=(3, 5))
     aug /= np.linalg.norm(aug, axis=1, keepdims=True)
@@ -73,9 +75,9 @@ def test_three_branch_logits_augmented_matches_sim_augmented():
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     tau = 0.25
     lg = hand_logits(aug[0], rows, aug=aug, tau=tau)
-    want = [sim_augmented(Tensor(aug), Tensor(rows[i])).item() / tau
+    want = [augmented_logits(Tensor(aug), Tensor(rows[i]), 1.0).item() / tau
             for i in range(4)]
-    assert np.allclose(lg.augmented, want, atol=1e-12)
+    assert np.allclose(lg[1], want, atol=1e-12)
 
 
 def test_three_branch_logits_global_matches_loss_ce():
@@ -85,7 +87,7 @@ def test_three_branch_logits_global_matches_loss_ce():
     rows = rng.normal(size=(3, 6))
     bank = TextBank(prompted=Tensor(rows), vanilla=Tensor(rows.copy()))
     tau = 0.5
-    logits = hand_logits(rep, rows, tau=tau).global_
+    logits = hand_logits(rep, rows, tau=tau)[0]
     for y in range(3):
         ce = loss_ce(Tensor(rep), bank, y, tau).item()
         assert abs(ce + np.log(softmax_oracle(logits)[y])) < 1e-12
@@ -118,13 +120,6 @@ def test_equal_two_branches_when_augmented_absent():
     assert np.array_equal(out, [0.5, 0.5])
 
 
-def test_shape_mismatch_rejected():
-    bad = mk([1.0, 0.0], [0.0, 1.0, 2.0], [2.0, 2.0])
-    for fn in (ensemble_equal, ensemble_confidence, ensemble_threshold):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            fn(bad)
-
-
 # -------------------------------------------------------------- confidence
 
 def test_confidence_weights_sum_to_one():
@@ -134,7 +129,7 @@ def test_confidence_weights_sum_to_one():
         conf = branch_confidences(lg)
         w = conf / conf.sum()
         assert abs(w.sum() - 1.0) < 1e-12
-        want = w[0] * lg.global_ + w[1] * lg.augmented + w[2] * lg.vanilla
+        want = w[0] * lg[0] + w[1] * lg[1] + w[2] * lg[2]
         assert np.allclose(ensemble_confidence(lg), want, atol=1e-12)
 
 
@@ -160,7 +155,7 @@ def test_confidence_shift_invariant_weights():
     lg = mk(rng.normal(size=5), rng.normal(size=5), rng.normal(size=5))
     base = ensemble_confidence(lg)
     c = 3.7
-    shifted = mk(lg.global_ + c, lg.augmented + c, lg.vanilla + c)
+    shifted = mk(lg[0] + c, lg[1] + c, lg[2] + c)
     assert np.allclose(ensemble_confidence(shifted), base + c, atol=1e-12)
     assert np.argmax(ensemble_confidence(shifted)) == np.argmax(base)
 
@@ -169,7 +164,7 @@ def test_confidence_permutation_equivariant():
     rng = np.random.default_rng(4)
     lg = mk(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6))
     perm = rng.permutation(6)
-    permuted = mk(lg.global_[perm], lg.augmented[perm], lg.vanilla[perm])
+    permuted = mk(lg[0][perm], lg[1][perm], lg[2][perm])
     assert np.allclose(ensemble_confidence(permuted),
                        ensemble_confidence(lg)[perm], atol=1e-12)
 
@@ -184,7 +179,7 @@ def peaked_flat_logits():
 def test_threshold_keeps_only_confident_branch():
     lg = peaked_flat_logits()
     out = ensemble_threshold(lg, theta=0.8)
-    assert np.array_equal(out, lg.global_)
+    assert np.array_equal(out, lg[0])
 
 
 def test_threshold_small_theta_equals_equal():
@@ -218,7 +213,7 @@ def test_threshold_default_is_point_eight():
 
 def threshold_oracle(lg, theta):
     """The per-image rule: mean of the branches above theta, else equal."""
-    vecs = lg.present()
+    vecs = list(lg)
     kept = [v for v in vecs if softmax_oracle(v).max() > theta]
     return np.mean(kept or vecs, axis=0)
 
@@ -292,11 +287,11 @@ def test_three_branch_logits_shapes_and_consistency():
     cfg, state, prompts, bank, image = setup_model()
     out = forward_three_branch(image, prompts, cfg, state)
     lg = three_branch_logits(out, bank, cfg.temperature)
-    assert lg.global_.shape == lg.vanilla.shape == lg.augmented.shape == (2,)
+    assert lg.shape == (3, 2)
     rep, rows = out.vanilla_rep.data, bank.vanilla.data
     want = (rows @ rep / np.linalg.norm(rows, axis=1) / np.linalg.norm(rep)
             / cfg.temperature)
-    assert np.allclose(lg.vanilla, want, atol=1e-12)
+    assert np.allclose(lg[2], want, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_images", [None, 5])
@@ -311,10 +306,9 @@ def test_three_branch_logits_are_the_training_logits_bitwise(n_images):
     tau = cfg.temperature
     lg = three_branch_logits(out, bank, tau)
     pairs = [
-        (lg.global_, ce_logits(out.global_rep, bank.prompted, tau)),
-        (lg.augmented, augmented_logits(out.augmented_reps, bank.prompted,
-                                        tau)),
-        (lg.vanilla, ce_logits(out.vanilla_rep, bank.vanilla, tau))]
+        (lg[0], ce_logits(out.global_rep, bank.prompted, tau)),
+        (lg[1], augmented_logits(out.augmented_reps, bank.prompted, tau)),
+        (lg[2], ce_logits(out.vanilla_rep, bank.vanilla, tau))]
     for got, want in pairs:
         assert np.array_equal(got, want.data)
     y = 1 if n_images is None else np.arange(n_images) % 2
@@ -323,10 +317,35 @@ def test_three_branch_logits_are_the_training_logits_bitwise(n_images):
     def nll(logits):
         return (-ad.log_softmax(Tensor(logits))[pick]).data
 
-    assert np.array_equal(nll(lg.global_),
+    assert np.array_equal(nll(lg[0]),
                           loss_ce(out.global_rep, bank, y, tau).data)
-    assert np.array_equal(nll(lg.augmented), loss_aug_single(
+    assert np.array_equal(nll(lg[1]), loss_aug_single(
         out.augmented_reps, bank, y, tau).data)
+
+
+@pytest.mark.parametrize("v", [0, 2])
+def test_projection_scale_leaves_logits_and_losses_unchanged(v):
+    # projections are plain products and every score is a cosine, so
+    # positive scales of the two projection heads change no logit or loss
+    cfg, state, prompts, _, _ = setup_model(v)
+    scaled = replace(state, img_proj=Tensor(3.5 * state.img_proj.data),
+                     text_proj=Tensor(0.02 * state.text_proj.data))
+    rng = np.random.default_rng(10)
+    images = rng.uniform(size=(4, cfg.image_size, cfg.image_size))
+    batch = Batch(images=images, labels=np.array([0, 1, 1, 0]))
+    names = ["square", "ring"]
+    logits, losses = [], []
+    for st in (state, scaled):
+        bank = build_text_bank(names, prompts, cfg, st)
+        out = forward_three_branch(images, prompts, cfg, st)
+        logits.append(three_branch_logits(out, bank, cfg.temperature))
+        losses.append(compute_losses(batch, prompts, cfg, st, names))
+    assert logits[0].shape == (3 if v else 2, 4, 2)
+    np.testing.assert_allclose(logits[1], logits[0], rtol=1e-12, atol=1e-12)
+    assert losses[1].keys() == losses[0].keys()
+    for key, want in losses[0].items():
+        assert np.isclose(losses[1][key].item(), want.item(), rtol=1e-12,
+                          atol=1e-12), key
 
 
 def test_predict_deterministic_and_valid():
