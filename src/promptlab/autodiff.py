@@ -445,14 +445,15 @@ def masked_attention(q, k, v, mask: Optional[np.ndarray] = None, heads: int = 1)
 
     dh = d // heads
     r = len(lead)
-    # (..., n, heads, dh) -> (..., heads, n, dh); the same swap undoes it
+    # (..., n, heads, dh) -> (..., heads, n, dh); the same swap undoes it.
+    # The keys go straight to (..., heads, dh, n).
     split_heads = (*range(r), r + 1, r, r + 2)
-    keys_t = (*range(r + 1), r + 2, r + 1)
+    keys_t = (*range(r), r + 1, r + 2, r)
     qh = transpose(reshape(q, (*lead, n, heads, dh)), split_heads)
-    kh = transpose(reshape(k, (*lead, n, heads, dh)), split_heads)
+    kt = transpose(reshape(k, (*lead, n, heads, dh)), keys_t)
     vh = transpose(reshape(v, (*lead, n, heads, dh)), split_heads)
 
-    scores = matmul(qh, transpose(kh, keys_t)) * (1.0 / math.sqrt(dh))
+    scores = matmul(qh, kt) * (1.0 / math.sqrt(dh))
     if mask is not None:
         scores = add(scores, Tensor(np.where(mask, MASK_FILL, 0.0)))
     weights = softmax(scores)

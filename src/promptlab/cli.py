@@ -32,7 +32,10 @@ from .tuning import (EVAL_CHUNK, LOG_COLUMNS, build_text_bank,
                      global_branch_accuracy, train)
 
 STRATEGIES = ("equal", "confidence", "threshold")
-ABLATE_AXES = ("depth", "length", "loss", "ensemble")
+# each ablation axis and the config key it sweeps; the loss axis toggles
+# loss terms instead
+ABLATE_AXES = {"depth": "prompt_depth", "length": "visual_prompt_len",
+               "loss": None, "ensemble": "strategy"}
 LOSS_VARIANTS = ("full", "no-aug", "no-consistency", "ce-only")
 
 
@@ -111,19 +114,14 @@ def _parse_value(name: str, raw: str):
                 raise ValueError(raw)
             return value
         if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "tuple":
             parts = raw.replace(",", " ").split()
             if name == "targets":
                 return tuple(int(p) for p in parts)
             return tuple(parts)
         return raw
-    except ValueError:
+    except (ValueError, KeyError):
         raise ConfigError(f"bad value for {name}: {raw!r}")
 
 
@@ -398,41 +396,25 @@ def _axis_values(cfg: ExperimentConfig) -> tuple:
 
 
 def _ablation_point(cfg: ExperimentConfig, axis: str, value: str):
-    """Per-value experiment config + loss toggle; rejects illegal values."""
-    use_aug = True
-    point = cfg
-    if axis == "depth":
-        try:
-            d = int(value)
-        except ValueError:
-            raise ConfigError(f"bad depth value {value!r}")
-        if not 1 <= d <= cfg.depth:
-            raise ConfigError(f"prompt depth {d} outside 1..{cfg.depth}")
-        point = replace(cfg, prompt_depth=d)
-    elif axis == "length":
-        try:
-            v = int(value)
-        except ValueError:
-            raise ConfigError(f"bad length value {value!r}")
-        if v < 0:
-            raise ConfigError("visual prompt length cannot be negative")
-        point = replace(cfg, visual_prompt_len=v)
-    elif axis == "loss":
+    """Per-value experiment config + loss toggle.  A depth, length or
+    ensemble value is parsed and checked like the INI key its axis sets."""
+    if axis == "loss":
         if value not in LOSS_VARIANTS:
             raise ConfigError(f"unknown loss variant {value!r}; choose from "
                               f"{', '.join(LOSS_VARIANTS)}")
-        if value in ("no-aug", "ce-only"):
-            use_aug = False
+        point = cfg
         if value in ("no-consistency", "ce-only"):
             point = replace(cfg, text_consistency_weight=0.0,
                             image_consistency_weight=0.0)
-    elif axis == "ensemble":
-        try:
-            resolve_strategy(value)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        point = replace(cfg, strategy=value)
-    return point, use_aug
+        return point, value not in ("no-aug", "ce-only")
+    key = ABLATE_AXES[axis]
+    point = replace(cfg, **{key: _parse_value(key, value)})
+    # 0 means "every layer" in the INI; a depth sweep names its layers
+    if axis == "depth" and point.prompt_depth < 1:
+        raise ConfigError(f"prompt_depth {point.prompt_depth} outside "
+                          f"1..{cfg.depth}")
+    validate(point)
+    return point, True
 
 
 def run_ablate(cfg: ExperimentConfig) -> dict:

@@ -44,7 +44,8 @@ class ModelConfig:
     mask_prompts: bool = True
 
     def __post_init__(self):
-        for name in ("depth", "heads", "visual_width", "text_width", "shared_width"):
+        for name in ("depth", "heads", "visual_width", "text_width",
+                     "shared_width", "image_size", "vocab_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.prompt_depth is None:
@@ -53,8 +54,9 @@ class ModelConfig:
             raise ValueError("encoder widths must be divisible by head count")
         if not 1 <= self.prompt_depth <= self.depth:
             raise ValueError("prompt_depth must lie in 1..depth")
-        if self.visual_prompt_len < 0 or self.text_prompt_len < 0:
-            raise ValueError("prompt lengths must be nonnegative")
+        for name in ("visual_prompt_len", "text_prompt_len"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         # written so that NaN fails every range check
         if not 0 < self.temperature < np.inf:
             raise ValueError("temperature must be positive and finite")

@@ -83,7 +83,7 @@ def _patch_blocks(image_size: int, grid_shape) -> tuple:
 def upsample_nearest(amap, image_size: int) -> np.ndarray:
     grid = np.asarray(amap, dtype=np.float64)
     sy, sx = _patch_blocks(image_size, grid.shape)
-    return np.kron(grid, np.ones((sy, sx)))
+    return grid.repeat(sy, 0).repeat(sx, 1)
 
 
 def binarize_map(amap, image_size: int) -> np.ndarray:
@@ -92,7 +92,7 @@ def binarize_map(amap, image_size: int) -> np.ndarray:
     grid = np.asarray(amap, dtype=np.float64)
     fg = grid > grid.mean()
     sy, sx = _patch_blocks(image_size, grid.shape)
-    return np.kron(fg, np.ones((sy, sx), dtype=bool))
+    return fg.repeat(sy, 0).repeat(sx, 1)
 
 
 def foreground_mass(amap, gt_mask) -> float:
@@ -134,19 +134,20 @@ def average_precision(heatmap, gt_mask) -> float:
     gt = np.asarray(gt_mask, dtype=bool).ravel()
     if heat.shape != gt.shape:
         raise ValueError("shape mismatch between heatmap and gt mask")
+    if np.isnan(heat).any():
+        raise ValueError("heatmap contains NaN")
     n_pos = int(gt.sum())
     if n_pos == 0:
         return 1.0
-    ap = 0.0
-    prev_recall = 0.0
-    for t in np.unique(heat)[::-1]:
-        pred = heat >= t
-        tp = int(np.logical_and(pred, gt).sum())
-        precision = tp / int(pred.sum())
-        recall = tp / n_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+    # counts at each threshold: every pixel up to the last of its value
+    order = np.argsort(-heat, kind="stable")
+    ranked = heat[order]
+    hits = np.cumsum(gt[order])
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    precision = hits[last] / (last + 1)
+    recall = hits[last] / n_pos
+    # summed in threshold order, as a running total would
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def segmentation_metrics(heatmap, pred_mask, gt_mask) -> SegmentationMetrics:

@@ -314,8 +314,8 @@ def train(train_set: Subset, class_names, prompts: PromptSet,
     epoch and step, both counted from 0."""
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
-    if lr < 0:
-        raise ValueError("learning rate must be nonnegative")
+    if not 0 <= lr < np.inf:   # NaN fails it too
+        raise ValueError("learning rate must be nonnegative and finite")
     n = len(train_set)
     if n == 0:
         raise ValueError("empty batch")

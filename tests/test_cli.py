@@ -324,12 +324,19 @@ def test_training_row_fallback_is_noted_on_stderr(tmp_path, capsys):
 
 
 def test_ablate_rejects_illegal_values(tmp_path):
-    with pytest.raises(ConfigError, match="outside"):
-        run_ablate(tiny(ablate_axis="depth", ablate_values=("5",)))
-    with pytest.raises(ConfigError, match="loss variant"):
-        run_ablate(tiny(ablate_axis="loss", ablate_values=("nonsense",)))
-    with pytest.raises(ConfigError, match="bad depth"):
-        run_ablate(tiny(ablate_axis="depth", ablate_values=("two",)))
+    # a swept value is parsed and checked like the INI key its axis sets
+    out = tmp_path / "out"
+    for axis, value, match in [
+            ("depth", "5", "prompt_depth"), ("depth", "0", "outside"),
+            ("depth", "two", "bad value for prompt_depth"),
+            ("loss", "nonsense", "loss variant"),
+            ("length", "-1", "visual_prompt_len"),
+            ("length", "x", "bad value for visual_prompt_len"),
+            ("ensemble", "median", "unknown ensemble strategy")]:
+        with pytest.raises(ConfigError, match=match):
+            run_ablate(tiny(out=str(out), ablate_axis=axis,
+                            ablate_values=(value,)))
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- entry point
@@ -410,14 +417,23 @@ def test_main_rejects_the_protocol_key(tmp_path, capsys, command, protocol):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("visual_prompt_len", 100000),
-                                       ("text_prompt_len", 1000000)])
-def test_main_rejects_prompts_too_long_for_physical_memory(tmp_path, key,
-                                                           value):
+LONG_SWEEP = "[run]\nablate_axis = length\nablate_values = 100000\n"
+
+
+@pytest.mark.parametrize("command,key,value,text", [
+    pytest.param("train", "visual_prompt_len", 100000, None,
+                 id="visual_prompt_len-100000"),
+    pytest.param("train", "text_prompt_len", 1000000, None,
+                 id="text_prompt_len-1000000"),
+    pytest.param("ablate", "visual_prompt_len", 100000, LONG_SWEEP,
+                 id="ablate-visual_prompt_len-100000")])
+def test_main_rejects_prompts_too_long_for_physical_memory(tmp_path, command,
+                                                           key, value, text):
     # a child process under a 1 GiB address-space limit, so a run that got
-    # past validation would fail fast rather than exhaust the machine
+    # past validation would fail fast rather than exhaust the machine; an
+    # ablate sweep value is checked like its INI key
     ini = tmp_path / "big.ini"
-    ini.write_text(f"[model]\n{key} = {value}\n")
+    ini.write_text(text or f"[model]\n{key} = {value}\n")
     out = tmp_path / "out"
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -428,7 +444,7 @@ def test_main_rejects_prompts_too_long_for_physical_memory(tmp_path, key,
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", child, "train", "--config", str(ini), "--out",
+        [sys.executable, "-c", child, command, "--config", str(ini), "--out",
          str(out)], env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 1, done.stderr[-2000:]
     assert done.stderr.startswith(f"error: {key} = {value} needs ")

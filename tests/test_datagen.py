@@ -255,8 +255,10 @@ def test_checkpoint_cross_config_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": [0, 4]},
-                                    {"visual_width": 0}],
-                         ids=["zero_heads", "zero_grid_side", "zero_width"])
+                                    {"visual_width": 0}, {"image_size": -16},
+                                    {"vocab_size": 0}],
+                         ids=["zero_heads", "zero_grid_side", "zero_width",
+                              "negative_image_size", "zero_vocab"])
 def test_checkpoint_header_config_that_cannot_build_is_corrupt(tmp_path,
                                                                config):
     cfg, state, prompts = ckpt_fixture()

@@ -42,8 +42,12 @@ def test_config_validation_errors():
         ModelConfig(temperature=0.0)
     with pytest.raises(ValueError):
         ModelConfig(image_size=10, patch_grid=(4, 4))
-    with pytest.raises(ValueError):
-        ModelConfig(visual_prompt_len=-1)
+    # a size that cannot build is rejected by name
+    for name, value in (("image_size", -16), ("image_size", 0),
+                        ("vocab_size", 0), ("vocab_size", -3),
+                        ("visual_prompt_len", -1), ("text_prompt_len", -1)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ModelConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["temperature", "text_consistency_weight",

@@ -265,6 +265,12 @@ def test_ap_monotone_transform_invariant():
         assert average_precision(f(heat), gt) == pytest.approx(base, abs=1e-12)
 
 
+def test_ap_rejects_a_nan_heatmap():
+    heat = np.array([[0.2, np.nan], [0.1, 0.4]])
+    with pytest.raises(ValueError, match="NaN"):
+        average_precision(heat, heat > 0.15)
+
+
 def test_relabel_symmetry():
     m = segmentation_metrics(HAND_HEAT, HAND_PRED, HAND_GT)
     flipped = segmentation_metrics(HAND_HEAT, ~HAND_PRED, ~HAND_GT)

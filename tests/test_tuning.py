@@ -17,7 +17,7 @@ import promptlab.autodiff as ad
 from oracle_helpers import (oracle_plain_image, oracle_plain_text,
                             oracle_project, oracle_prompted_image,
                             oracle_prompted_text)
-from promptlab import cli
+from promptlab import cli, tuning
 from promptlab.autodiff import Tensor
 from promptlab.datagen import generate_dataset, sample_few_shot, tokenize_template
 from promptlab.encoders import EncoderState, ModelConfig, PromptSet
@@ -319,7 +319,7 @@ def test_pipeline_matches_straight_line_oracle():
         np.testing.assert_allclose(bank.vanilla.data[i], z, atol=1e-12)
 
 
-def test_reference_train_step_graph_has_at_most_369_nodes():
+def test_reference_train_step_graph_has_at_most_360_nodes():
     # the loss graph one step of the reference preset backpropagates, counted
     # as the benchmark's traced run counts it
     census = runpy.run_path(str(Path(__file__).resolve().parents[1]
@@ -337,7 +337,7 @@ def test_reference_train_step_graph_has_at_most_369_nodes():
     bank = build_text_bank(names, prompts, mcfg, state)
     losses = compute_losses(Batch.from_subset(subset), prompts, mcfg, state,
                             names, bank=bank)
-    assert sum(census([losses["total"]]).values()) <= 369
+    assert sum(census([losses["total"]]).values()) <= 360
 
 
 def test_vanilla_branch_contributes_no_gradient():
@@ -566,6 +566,18 @@ def test_compute_losses_accuracy_equals_global_branch_accuracy():
         assert losses["accuracy"].is_constant
         assert losses["accuracy"].item() == global_branch_accuracy(
             sub, names, prompts, cfg, state)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+def test_train_rejects_a_bad_learning_rate_before_any_step(monkeypatch, lr):
+    cfg, state, sub, names = accuracy_task()
+    prompts = PromptSet.initialize(cfg, seed=16)
+    steps = []
+    monkeypatch.setattr(tuning, "train_step", lambda *a, **kw: steps.append(1))
+    with pytest.raises(ValueError, match="learning rate"):
+        train(sub, names, prompts, cfg, state, epochs=1, batch_size=8, lr=lr,
+              seed=17)
+    assert not steps
 
 
 def test_full_set_losses_are_the_graph_values_bitwise():
