@@ -1,8 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small tape-free autograd: every operation links its output tensor to the
-input tensors and a VJP closure, so the graph lives on the tensors
-themselves and independent model instances never share state.  Links
+Small tape-free autograd: every operation with a learnable input links its
+output tensor to the input tensors, one VJP per input and the arrays those
+VJPs read, so the graph lives on the tensors themselves and independent
+model instances never share state.  An operation with no learnable input
+records nothing, and the reverse pass runs only the VJPs of inputs with
+``requires_grad``, so no gradient of a constant is ever computed.  Links
 point from outputs to inputs only, so a graph holds no reference cycle and
 is freed by reference counting as soon as its output is dropped.  Only the
 primitives needed by a miniature transformer are provided (matmul,
@@ -45,11 +48,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_constant(self) -> bool:
-        """True when this tensor is detached from every learnable input."""
-        return not self.requires_grad
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -90,19 +88,33 @@ class Tensor:
 
 
 class OpNode:
-    """One recorded primitive: its inputs and the VJP closure.
+    """One recorded primitive: its inputs, one VJP per input, and the
+    arrays those VJPs read.
 
-    The node holds no reference to its output tensor, so graphs stay
-    acyclic; :func:`backward` reaches outputs through the traced tensors.
+    ``vjps[k](g, k, *inputs, *saved)`` is input ``k``'s gradient for the
+    output gradient ``g``.  The VJPs are module-level functions, so
+    recording a primitive creates no closure; only the variadic ones
+    (``concat``, ``stack_rows``) read ``k``.  The node holds no reference
+    to its output tensor, so graphs stay acyclic; :func:`backward` reaches
+    outputs through the traced tensors.
     """
 
-    __slots__ = ("name", "inputs", "vjp")
+    __slots__ = ("name", "inputs", "vjps", "saved")
 
     def __init__(self, name: str, inputs: Sequence[Tensor],
-                 vjp: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
+                 vjps: Sequence[Callable], saved: tuple):
         self.name = name
         self.inputs = tuple(inputs)
-        self.vjp = vjp
+        self.vjps = vjps
+        self.saved = saved
+
+    def vjp(self, g: np.ndarray) -> tuple:
+        """The gradient for each input with ``requires_grad``, and ``None``
+        for each constant input, whose VJP never runs."""
+        inputs = self.inputs
+        args = (*inputs, *self.saved)
+        return tuple([vjp(g, k, *args) if t.requires_grad else None
+                      for k, (vjp, t) in enumerate(zip(self.vjps, inputs))])
 
 
 def _trace(output: Tensor) -> list:
@@ -130,11 +142,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(name: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
+def _make(name: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjps,
+          saved: tuple = ()) -> Tensor:
     out = Tensor(out_data)
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.node = OpNode(name, inputs, vjp)
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            out.node = OpNode(name, inputs, vjps, saved)
+            break
     return out
 
 
@@ -153,57 +168,105 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- elementwise primitives ---------------------------------------------
 
+def _add_a(g, k, a, b):           # also the left VJP of sub
+    return _unbroadcast(g, a.shape)
+
+
+def _add_b(g, k, a, b):
+    return _unbroadcast(g, b.shape)
+
+
+def _sub_b(g, k, a, b):
+    return _unbroadcast(-g, b.shape)
+
+
+def _mul_a(g, k, a, b):
+    return _unbroadcast(g * b.data, a.shape)
+
+
+def _mul_b(g, k, a, b):
+    return _unbroadcast(g * a.data, b.shape)
+
+
+def _div_a(g, k, a, b):
+    return _unbroadcast(g / b.data, a.shape)
+
+
+def _div_b(g, k, a, b):
+    return _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _make("add", a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _make("add", a.data + b.data, (a, b), (_add_a, _add_b))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _make("sub", a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _make("sub", a.data - b.data, (a, b), (_add_a, _sub_b))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _make("mul", a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+    return _make("mul", a.data * b.data, (a, b), (_mul_a, _mul_b))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _make("div", a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+    return _make("div", a.data / b.data, (a, b), (_div_a, _div_b))
+
+
+def _exp_vjp(g, k, a, out):
+    return g * out
+
+
+def _log_vjp(g, k, a):
+    return g / a.data
+
+
+def _sqrt_vjp(g, k, a, out):
+    return g * 0.5 / out
+
+
+def _tanh_vjp(g, k, a, out):
+    return g * (1.0 - out * out)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
-    return _make("exp", out_data, (a,), lambda g: (g * out_data,))
+    return _make("exp", out_data, (a,), (_exp_vjp,), (out_data,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _make("log", np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _make("log", np.log(a.data), (a,), (_log_vjp,))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
-    return _make("sqrt", out_data, (a,), lambda g: (g * 0.5 / out_data,))
+    return _make("sqrt", out_data, (a,), (_sqrt_vjp,), (out_data,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-    return _make("tanh", out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
+    return _make("tanh", out_data, (a,), (_tanh_vjp,), (out_data,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+
+def _gelu_vjp(g, k, a, t):
+    # g * (0.5*(1+t) + 0.5*x*(1-t*t) * C*(1+3A*x*x)), in place, same order
+    x = a.data
+    d = 3.0 * _GELU_A * x; d *= x; d += 1.0; d *= _GELU_C
+    s = t * t; np.subtract(1.0, s, out=s)
+    h = 0.5 * x; h *= s; h *= d
+    grad = 1.0 + t; grad *= 0.5; grad += h; grad *= g
+    return grad
 
 
 def gelu(a) -> Tensor:
@@ -212,55 +275,58 @@ def gelu(a) -> Tensor:
     x = a.data
     inner = _GELU_C * (x + _GELU_A * (x * x * x))  # x*x*x, not libm pow
     t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
-
-    def vjp(g):
-        # g * (0.5*(1+t) + 0.5*x*(1-t*t) * C*(1+3A*x*x)), in place, same order
-        d = 3.0 * _GELU_A * x; d *= x; d += 1.0; d *= _GELU_C
-        s = t * t; np.subtract(1.0, s, out=s)
-        h = 0.5 * x; h *= s; h *= d
-        grad = 1.0 + t; grad *= 0.5; grad += h; grad *= g
-        return (grad,)
-
-    return _make("gelu", out_data, (a,), vjp)
+    return _make("gelu", 0.5 * x * (1.0 + t), (a,), (_gelu_vjp,), (t,))
 
 
 # -- shape primitives -----------------------------------------------------
 
+def _reshape_vjp(g, k, a):
+    return g.reshape(a.shape)
+
+
+def _transpose_vjp(g, k, a, axes):
+    return g.transpose(tuple(np.argsort(axes)))
+
+
+def _getitem_vjp(g, k, a, idx, raw_shape):
+    full = np.zeros_like(a.data)
+    # ints, slices and Ellipsis pick each element at most once, so a view
+    # add scatters; advanced indices (arrays, bools) may repeat rows
+    if all(type(p) in (int, slice, type(...)) or isinstance(p, np.integer)
+           for p in (idx if isinstance(idx, tuple) else (idx,))):
+        full[idx] += np.reshape(g, raw_shape)
+    else:
+        np.add.at(full, idx, np.reshape(g, raw_shape))
+    return full
+
+
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(shape)
-    return _make("reshape", a.data.reshape(shape), (a,),
-                 lambda g: (g.reshape(a.shape),))
+    return _make("reshape", a.data.reshape(tuple(shape)), (a,),
+                 (_reshape_vjp,))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make("transpose", np.ascontiguousarray(a.data.transpose(axes)), (a,),
-                 lambda g: (g.transpose(inv),))
+    return _make("transpose", np.ascontiguousarray(a.data.transpose(axes)),
+                 (a,), (_transpose_vjp,), (axes,))
 
 
 def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
     raw = a.data[idx]
     # Tensor storage promotes 0-d to (1,); scatter with the true shape
-    raw_shape = np.shape(raw)
-    # ints, slices and Ellipsis pick each element at most once, so a view
-    # add scatters; advanced indices (arrays, bools) may repeat rows
-    basic = all(type(p) in (int, slice, type(...)) or isinstance(p, np.integer)
-                for p in (idx if isinstance(idx, tuple) else (idx,)))
+    return _make("getitem", np.ascontiguousarray(raw), (a,), (_getitem_vjp,),
+                 (idx, np.shape(raw)))
 
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        if basic:
-            full[idx] += np.reshape(g, raw_shape)
-        else:
-            np.add.at(full, idx, np.reshape(g, raw_shape))
-        return (full,)
 
-    return _make("getitem", np.ascontiguousarray(raw), (a,), vjp)
+def _concat_part(g, k, *args):
+    *parts, axis = args
+    start = sum(p.shape[axis] for p in parts[:k])
+    piece = [slice(None)] * g.ndim
+    piece[axis] = slice(start, start + parts[k].shape[axis])
+    return _unbroadcast(np.ascontiguousarray(g[tuple(piece)]), parts[k].shape)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -275,39 +341,33 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     datas = [p.data if p.data.ndim == ndim
              else np.broadcast_to(p.data, lead[:ndim - p.data.ndim] + p.shape)
              for p in parts]
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+    return _make("concat", np.concatenate(datas, axis=axis), parts,
+                 (_concat_part,) * len(parts), (axis,))
 
-    def vjp(g):
-        return tuple(_unbroadcast(np.ascontiguousarray(piece), p.shape)
-                     for piece, p in zip(np.split(g, splits, axis=axis), parts))
 
-    return _make("concat", np.concatenate(datas, axis=axis), parts, vjp)
+def _stack_row(g, k, *parts):
+    return g[k]
 
 
 def stack_rows(tensors: Sequence) -> Tensor:
     """Stack 1-D tensors into a matrix (graph-aware np.stack, axis 0)."""
     parts = [as_tensor(t) for t in tensors]
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(parts)))
-
-    return _make("stack", np.stack([p.data for p in parts], axis=0), parts, vjp)
+    return _make("stack", np.stack([p.data for p in parts], axis=0), parts,
+                 (_stack_row,) * len(parts))
 
 
 # -- reductions -----------------------------------------------------------
 
+def _sum_vjp(g, k, a, kept_shape):
+    # Tensor storage promotes 0-d to (1,); restore the reduced axes
+    return np.broadcast_to(g.reshape(kept_shape), a.shape).copy()
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     summed = a.data.sum(axis=axis, keepdims=True)
-    kept_shape = summed.shape
-
-    def vjp(g):
-        # Tensor storage promotes 0-d to (1,); restore the reduced axes
-        return (np.broadcast_to(g.reshape(kept_shape), a.shape).copy(),)
-
     out = summed if keepdims else np.squeeze(summed, axis=axis)
-    return _make("sum", out, (a,), vjp)
+    return _make("sum", out, (a,), (_sum_vjp,), (summed.shape,))
 
 
 def mean(a, axis=None) -> Tensor:
@@ -328,6 +388,27 @@ def norm(a, keepdims: bool = False) -> Tensor:
 
 # -- linear algebra -------------------------------------------------------
 
+def _matmul_a(g, k, a, b):
+    return g @ b.data.swapaxes(-1, -2)
+
+
+def _matmul_b(g, k, a, b):        # equally shaped stacks, or two matrices
+    return a.data.swapaxes(-1, -2) @ g
+
+
+def _matmul_stack_b(g, k, a, b):  # (..., n, d) @ (d, k): sum over the stack
+    ad = a.data
+    return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _vecmat_a(g, k, a, b):        # (d,) @ (d, k)
+    return b.data @ g
+
+
+def _vecmat_b(g, k, a, b):
+    return np.outer(a.data, g)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product.  Besides ``(n, d) @ (d, k)`` and ``(d,) @ (d, k)``,
     ``(..., n, d) @ (d, k)`` applies one weight to a stack (its gradient
@@ -335,24 +416,34 @@ def matmul(a, b) -> Tensor:
     equally shaped stacks slice by slice."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        vjp = lambda g: (g @ bd.T, ad.T @ g)
+    if ad.ndim == bd.ndim >= 2 and ad.shape[:-2] == bd.shape[:-2]:
+        vjps = (_matmul_a, _matmul_b)
     elif ad.ndim > 2 and bd.ndim == 2:
-        vjp = lambda g: (g @ bd.T,
-                         ad.reshape(-1, ad.shape[-1]).T
-                         @ g.reshape(-1, g.shape[-1]))
+        vjps = (_matmul_a, _matmul_stack_b)
     elif ad.ndim == 1 and bd.ndim == 2:
-        vjp = lambda g: (bd @ g, np.outer(ad, g))
-    elif ad.ndim == bd.ndim >= 3 and ad.shape[:-2] == bd.shape[:-2]:
-        vjp = lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+        vjps = (_vecmat_a, _vecmat_b)
     else:
         raise ValueError(f"unsupported matmul shapes {ad.shape} @ {bd.shape}")
-    return _make("matmul", ad @ bd, (a, b), vjp)
+    return _make("matmul", ad @ bd, (a, b), vjps)
 
 
 # -- normalization and probabilities --------------------------------------
 
 LAYER_NORM_EPS = 1e-5
+
+
+def _layer_norm_x(g, k, x, gamma, beta, y, sigma):
+    h = g * gamma.data
+    return (h - h.mean(axis=-1, keepdims=True)
+            - y * (h * y).mean(axis=-1, keepdims=True)) / sigma
+
+
+def _layer_norm_gamma(g, k, x, gamma, beta, y, sigma):
+    return (g * y).sum(axis=tuple(range(g.ndim - 1)))
+
+
+def _layer_norm_beta(g, k, x, gamma, beta, y, sigma):
+    return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
@@ -363,16 +454,13 @@ def layer_norm(x, gamma, beta) -> Tensor:
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
     sigma = np.sqrt(var + LAYER_NORM_EPS)
     y = (xd - mu) / sigma
-    out_data = y * gamma.data + beta.data
+    return _make("layer_norm", y * gamma.data + beta.data, (x, gamma, beta),
+                 (_layer_norm_x, _layer_norm_gamma, _layer_norm_beta),
+                 (y, sigma))
 
-    def vjp(g):
-        h = g * gamma.data
-        dx = (h - h.mean(axis=-1, keepdims=True)
-              - y * (h * y).mean(axis=-1, keepdims=True)) / sigma
-        lead = tuple(range(g.ndim - 1))
-        return (dx, (g * y).sum(axis=lead), g.sum(axis=lead))
 
-    return _make("layer_norm", out_data, (x, gamma, beta), vjp)
+def _softmax_vjp(g, k, x, p):
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -382,11 +470,7 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
-
-    return _make("softmax", p, (x,), vjp)
+    return _make("softmax", p, (x,), (_softmax_vjp,), (p,))
 
 
 def log_softmax(x) -> Tensor:
@@ -469,7 +553,9 @@ def backward(output: Tensor) -> list:
     """Backpropagate from a scalar output, accumulating into ``.grad``.
 
     Every leaf in the graph with ``requires_grad`` accumulates each
-    contribution onto its ``.grad`` as the reverse pass reaches it.
+    contribution onto its ``.grad`` as the reverse pass reaches it.  Only
+    the VJPs of inputs with ``requires_grad`` run, and a constant output
+    leaves every ``.grad`` untouched.
     Returns the traced non-leaf tensors in topological order.
     """
     if output.data.size != 1:
@@ -483,14 +569,14 @@ def backward(output: Tensor) -> list:
             continue
         node = t.node
         for parent, pg in zip(node.inputs, node.vjp(g)):
-            if pg is not None:
-                _flow(parent, pg, flowing)
+            _flow(parent, pg, flowing)
     return record
 
 
-def _flow(t: Tensor, g: np.ndarray, flowing: dict) -> None:
+def _flow(t: Tensor, g: Optional[np.ndarray], flowing: dict) -> None:
     """Add ``g`` to the gradient flowing into ``t``: a leaf's lands on its
-    ``.grad`` at once, a non-leaf's waits in ``flowing`` for its turn."""
+    ``.grad`` at once, a non-leaf's waits in ``flowing`` for its turn, and
+    a constant takes nothing (its VJP gave ``None``, or it is the output)."""
     if not t.requires_grad:
         return
     if t.node is None:

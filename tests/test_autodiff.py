@@ -34,9 +34,9 @@ def test_tensor_shape_and_flat_values():
 def test_constant_flag_tracks_graph_attachment():
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0, 4.0])
-    assert c.is_constant and not x.is_constant
-    assert (x + c).is_constant is False
-    assert (c * 2.0).is_constant  # no learnable input anywhere
+    assert not c.requires_grad and x.requires_grad
+    assert (x + c).requires_grad is True
+    assert not (c * 2.0).requires_grad  # no learnable input anywhere
 
 
 # ---------------------------------------------------------------- softmax
@@ -578,3 +578,64 @@ def test_reduction_axis_gradients_match_finite_differences(reduce, shape,
 def test_gradcheck_instance_count():
     # spec-level property: at least 100 random instances overall
     assert len(PRIMITIVES) * 6 >= 100
+
+
+# ------------------------------------------------------- constant inputs
+
+def _never_called(*args):
+    raise AssertionError("a constant input's VJP ran")
+
+
+# primitives whose inputs may be learnable or constant, with input shapes;
+# every non-empty proper subset of the inputs is made constant in turn
+MIXED = [
+    pytest.param(ad.matmul, [(3, 4), (4, 2)], id="matmul_22"),
+    pytest.param(ad.matmul, [(2, 3, 4), (4, 2)], id="matmul_32"),
+    pytest.param(ad.matmul, [(4,), (4, 3)], id="matmul_12"),
+    pytest.param(ad.matmul, [(2, 3, 4), (2, 4, 3)], id="matmul_33"),
+    pytest.param(ad.add, [(3, 4), (4,)], id="add"),
+    pytest.param(ad.sub, [(4,), (3, 4)], id="sub"),
+    pytest.param(ad.mul, [(3, 4), (3, 1)], id="mul"),
+    pytest.param(ad.div, [(3, 4), (4,)], id="div"),
+    pytest.param(ad.layer_norm, [(2, 3, 8), (8,), (8,)], id="layer_norm"),
+    pytest.param(lambda *parts: ad.concat(parts, axis=-2),
+                 [(2, 3, 4), (5, 4), (2, 1, 4)], id="concat"),
+    pytest.param(lambda *parts: ad.stack_rows(parts), [(4,), (4,), (4,)],
+                 id="stack_rows"),
+]
+
+
+@pytest.mark.parametrize("op, shapes", MIXED)
+def test_constant_inputs_run_no_vjp_and_leave_live_gradients_unchanged(
+        op, shapes):
+    rng = np.random.default_rng(np.random.Philox(len(shapes)))
+    datas = [rng.uniform(0.5, 2.0, size=s) for s in shapes]  # div-safe
+    live = op(*[Tensor(d, requires_grad=True) for d in datas])
+    g = rng.normal(size=live.shape)
+    want = live.node.vjp(g)
+    n = len(datas)
+    for mask in range(1, 2 ** n - 1):
+        constant = {k for k in range(n) if mask >> k & 1}
+        node = op(*[Tensor(d, requires_grad=k not in constant)
+                    for k, d in enumerate(datas)]).node
+        node.vjps = tuple(_never_called if k in constant else vjp
+                          for k, vjp in enumerate(node.vjps))
+        got = node.vjp(g)
+        for k in range(n):
+            if k in constant:
+                assert got[k] is None
+            else:
+                assert got[k].shape == want[k].shape
+                assert got[k].tobytes() == want[k].tobytes()
+
+
+@pytest.mark.parametrize("op, arity", [
+    (ad.add, 2), (ad.sub, 2), (ad.mul, 2), (ad.div, 2), (ad.matmul, 2),
+    (ad.exp, 1), (ad.log, 1), (ad.sqrt, 1), (ad.tanh, 1), (ad.gelu, 1),
+    (softmax, 1), (ad.tsum, 1), (lambda a: ad.reshape(a, (9,)), 1),
+    (lambda a: ad.transpose(a, (1, 0)), 1), (lambda a: a[1:], 1),
+    (ad.layer_norm, 3), (lambda *p: ad.concat(p), 2),
+    (lambda *p: ad.stack_rows(p), 2)])
+def test_op_without_learnable_input_records_no_node(op, arity):
+    out = op(*[Tensor(RNG.uniform(0.5, 2.0, size=(3, 3)))] * arity)
+    assert out.node is None and not out.requires_grad

@@ -279,7 +279,7 @@ def test_vanilla_rep_is_prompt_independent_and_constant():
     for s in range(5):
         out = forward_three_branch(image, PromptSet.initialize(cfg, seed=s),
                                    cfg, state)
-        assert out.vanilla_rep.is_constant
+        assert not out.vanilla_rep.requires_grad
         reps.append(out.vanilla_rep.data.tobytes())
     assert len(set(reps)) == 1
     assert out.augmented_reps.shape == (2, 8)
@@ -319,11 +319,8 @@ def test_pipeline_matches_straight_line_oracle():
         np.testing.assert_allclose(bank.vanilla.data[i], z, atol=1e-12)
 
 
-def test_reference_train_step_graph_has_at_most_360_nodes():
-    # the loss graph one step of the reference preset backpropagates, counted
-    # as the benchmark's traced run counts it
-    census = runpy.run_path(str(Path(__file__).resolve().parents[1]
-                                / "benchmarks" / "tracer.py"))["census"]
+def reference_step():
+    """The prompts and losses of one train step of the reference preset."""
     cfg = cli.reference_config()
     mcfg = cli.to_model_config(cfg)
     ds = generate_dataset(cfg.n_classes, cfg.per_class, cfg.image_size,
@@ -337,7 +334,41 @@ def test_reference_train_step_graph_has_at_most_360_nodes():
     bank = build_text_bank(names, prompts, mcfg, state)
     losses = compute_losses(Batch.from_subset(subset), prompts, mcfg, state,
                             names, bank=bank)
+    return prompts, losses
+
+
+def test_reference_train_step_graph_has_at_most_360_nodes():
+    # the loss graph one step of the reference preset backpropagates, counted
+    # as the benchmark's traced run counts it
+    census = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                                / "benchmarks" / "tracer.py"))["census"]
+    _, losses = reference_step()
     assert sum(census([losses["total"]]).values()) <= 360
+
+
+def test_reference_train_step_backward_runs_no_vjp_of_a_constant():
+    def never_called(*args):
+        raise AssertionError("a constant input's VJP ran")
+
+    prompts, losses = reference_step()
+    ad.backward(losses["total"])
+    want = [p.grad.tobytes() for p in prompts.parameters()]
+
+    prompts, losses = reference_step()
+    stack, seen, patched = [losses["total"]], set(), 0
+    while stack:                 # every node behind the loss, as census walks
+        t = stack.pop()
+        node = t.node
+        if node is None or id(t) in seen:
+            continue
+        seen.add(id(t))
+        node.vjps = tuple(vjp if x.requires_grad else never_called
+                          for vjp, x in zip(node.vjps, node.inputs))
+        patched += sum(not x.requires_grad for x in node.inputs)
+        stack.extend(node.inputs)
+    assert patched > 0
+    ad.backward(losses["total"])
+    assert [p.grad.tobytes() for p in prompts.parameters()] == want
 
 
 def test_vanilla_branch_contributes_no_gradient():
@@ -353,7 +384,7 @@ def test_vanilla_branch_contributes_no_gradient():
         assert t.grad is not None and np.abs(t.grad).max() > 0
     # and the record never treats vanilla reps as differentiable inputs
     vr = vanilla_image_rep(batch.images[0], cfg, state)
-    assert vr.is_constant
+    assert not vr.requires_grad
 
 
 def test_loss_graph_is_freed_without_the_cyclic_collector():
@@ -563,7 +594,7 @@ def test_compute_losses_accuracy_equals_global_branch_accuracy():
         prompts = PromptSet.initialize(cfg, seed=seed)
         losses = compute_losses(Batch.from_subset(sub), prompts, cfg, state,
                                 names)
-        assert losses["accuracy"].is_constant
+        assert not losses["accuracy"].requires_grad
         assert losses["accuracy"].item() == global_branch_accuracy(
             sub, names, prompts, cfg, state)
 
