@@ -240,10 +240,12 @@ def _predict_all(subset, prompts, mcfg, state, bank, strategy) -> float:
     return accuracy(np.concatenate(preds), subset.labels)
 
 
-def _score(split, prompts, mcfg, state, strategies) -> list:
-    """Accuracy on a (class names, rows) split per strategy, one text bank."""
+def _score(split, prompts, mcfg, state, strategies, bank=None) -> list:
+    """Accuracy on a (class names, rows) split per strategy, one text bank
+    (``bank``, or one built here from the detached prompts)."""
     names, subset = split
-    bank = build_text_bank(names, prompts.detached(), mcfg, state)
+    if bank is None:
+        bank = build_text_bank(names, prompts.detached(), mcfg, state)
     return [_predict_all(subset, prompts, mcfg, state, bank, strategy)
             for strategy in strategies]
 
@@ -307,11 +309,14 @@ def run_base_to_novel(cfg: ExperimentConfig) -> dict:
     state, _, train_set, result = _train_run(cfg, mcfg, ds, ds.base_classes)
     prompts = result.prompts
     splits = _splits(ds, train_set)
-    gb, gn = (global_branch_accuracy(subset, names, prompts, mcfg, state)
-              for names, subset in splits)
+    banks = [build_text_bank(names, prompts.detached(), mcfg, state)
+             for names, _ in splits]
+    gb, gn = (global_branch_accuracy(subset, names, prompts, mcfg, state,
+                                     bank=bank)
+              for (names, subset), bank in zip(splits, banks))
     strategies = _strategies(cfg)
-    base, novel = (_score(split, prompts, mcfg, state, strategies)
-                   for split in splits)
+    base, novel = (_score(split, prompts, mcfg, state, strategies, bank)
+                   for split, bank in zip(splits, banks))
     rows = [[name, ab, an, _hm_or_zero(ab, an)] for name, ab, an in
             zip(("global-branch", *strategies), (gb, *base), (gn, *novel))]
     out = _write_run(cfg, "metrics.csv", ["strategy", "base_accuracy",
@@ -490,7 +495,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI fixes them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 256 << 20
+_MMAP_THRESHOLD = 32 << 20       # glibc's largest allowed on 64-bit
+
+
+def _keep_freed_arrays() -> None:
+    """Keep the arrays a train step frees in the process heap.
+
+    A reference step frees about 25 MB of graph arrays.  glibc's dynamic
+    thresholds then hand the top of the heap back to the kernel, and the
+    next step faults the same pages in again (over 2,000 minor faults per
+    step).  Fixing both thresholds keeps them; fixing either one alone
+    switches the dynamic adjustment off and faults more.  Does nothing
+    where the C library has no ``mallopt``.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_arrays()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

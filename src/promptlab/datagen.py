@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import (MAX_TEXT_LEN, EncoderState, ModelConfig, PromptSet,
-                       _stream)
+                       _stream, tensor_values)
 
 # ordered so small n_classes slices are maximally distinct; offset 4 yields
 # a disjoint family set for transfer targets
@@ -270,10 +271,13 @@ def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
 def load_checkpoint(path):
     """Read a checkpoint back as (config, state, prompts).
 
-    The header's config builds a fresh model whose ``tensor_items()`` are
-    the layout the file must match, name by name and then shape by shape;
-    each tensor is then checked finite and copied into that model, and the
-    payload must match the header's sha256."""
+    The payload must hold exactly the floats the header's tensor list names,
+    and the header's config must imply as many (``tensor_values``), before
+    anything is built: a crafted header cannot make the load allocate more
+    than the file holds.  The config then builds a fresh model whose
+    ``tensor_items()`` are the layout the file must match, name by name and
+    then shape by shape; each tensor is checked finite and copied into that
+    model, and the payload must match the header's sha256."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError("corrupt checkpoint")
@@ -281,16 +285,27 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     hlen = struct.unpack_from("<Q", raw, 8)[0]
-    if len(raw) < 16 + hlen:
+    offset = 16 + hlen
+    if len(raw) < offset:
         raise ValueError("corrupt checkpoint")
     try:
-        header = json.loads(raw[16:16 + hlen].decode())
+        header = json.loads(raw[16:offset].decode())
         cfg = ModelConfig.from_dict(header["config"])
         entries = [(str(n), tuple(s)) for n, s in header["tensors"]]
         digest = header["sha256"]
+        listed = sum(math.prod(s) for _, s in entries)
+        implied = tensor_values(cfg)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError("corrupt checkpoint") from e
+    if 8 * listed != len(raw) - offset:
+        raise ValueError("corrupt checkpoint")
+    if implied != listed:
+        raise ValueError(f"shape mismatch: file has {listed} values, config "
+                         f"implies {implied}")
+    try:
         state = EncoderState.initialize(cfg, seed=0)
         prompts = PromptSet.initialize(cfg, seed=0)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         raise ValueError("corrupt checkpoint") from e
 
     template = state.tensor_items() + prompts.tensor_items()
@@ -301,9 +316,6 @@ def load_checkpoint(path):
             raise ValueError(f"shape mismatch for {name}: file has {shape}, "
                              f"config implies {t.shape}")
 
-    offset = 16 + hlen
-    if len(raw) - offset != sum(t.data.nbytes for _, t in template):
-        raise ValueError("corrupt checkpoint")
     for name, t in template:
         arr = np.frombuffer(raw, dtype="<f8", count=t.size, offset=offset)
         if not np.isfinite(arr).all():

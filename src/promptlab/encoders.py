@@ -234,6 +234,24 @@ class EncoderState:
         return b"".join(t.data.astype("<f8").tobytes() for _, t in self.tensor_items())
 
 
+def tensor_values(cfg: ModelConfig) -> int:
+    """How many floats the ``tensor_items()`` of the encoder state and the
+    prompts that ``cfg`` builds hold, counted without building them."""
+    dv, dt = cfg.visual_width, cfg.text_width
+
+    def layer(w: int) -> int:   # two layer norms, Q/K/V/O affines, the MLP
+        hidden = MLP_RATIO * w
+        return (4 * w + 4 * (w * w + w)
+                + (w * hidden + hidden) + (hidden * w + w))
+
+    return ((cfg.patch_dim + 2 + cfg.num_patches) * dv
+            + (cfg.vocab_size + 1 + MAX_TEXT_LEN) * dt
+            + cfg.depth * (layer(dv) + layer(dt))
+            + (dv + dt) * cfg.shared_width
+            + cfg.prompt_depth * (cfg.visual_prompt_len * dv
+                                  + cfg.text_prompt_len * dt))
+
+
 # ----------------------------------------------------------- embeddings
 
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:

@@ -277,17 +277,20 @@ class TrainResult:
 
 
 def global_branch_accuracy(subset: Subset, class_names, prompts: PromptSet,
-                           cfg: ModelConfig, state: EncoderState) -> float:
+                           cfg: ModelConfig, state: EncoderState, *,
+                           bank: Optional[TextBank] = None) -> float:
     """Share of ``subset`` whose global branch picks the right class.
 
     Scoring builds no graph: prompts enter as detached views, and images
     are encoded, projected and scored by :func:`ce_logits` ``EVAL_CHUNK``
-    at a time.
+    at a time, against the prompted rows of ``bank`` when given (built
+    from ``prompts.detached()``), else of ``class_names`` encoded here.
     """
     if len(subset) == 0:
         raise ValueError("empty evaluation subset")
     frozen = prompts.detached()
-    rows = text_rows(class_names, frozen, cfg, state)
+    rows = (text_rows(class_names, frozen, cfg, state) if bank is None
+            else bank.prompted)
     correct = 0
     for start in range(0, len(subset), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)

@@ -292,6 +292,31 @@ def test_ablate_loss_axis(tmp_path):
     assert [r[1] for r in report["rows"]] == ["full", "no-aug"]
 
 
+def test_base_to_novel_encodes_each_split_bank_once(tmp_path, monkeypatch):
+    # after train(), each split's prompted and vanilla rows are encoded once
+    # and shared by the global-branch accuracy and every strategy's score
+    import promptlab.tuning as tuning
+    real_train, real_encode = cli.train, tuning.encode_text_prompted
+    trained, encodes = [], []
+
+    def marking_train(*args, **kw):
+        result = real_train(*args, **kw)
+        trained.append(1)
+        return result
+
+    def counting_encode(*args, **kw):
+        if trained:
+            encodes.append(1)
+        return real_encode(*args, **kw)
+
+    monkeypatch.setattr(cli, "train", marking_train)
+    monkeypatch.setattr(tuning, "encode_text_prompted", counting_encode)
+    report = run_base_to_novel(tiny(out=str(tmp_path / "b"), n_classes=4,
+                                    epochs=1))
+    assert len(report["rows"]) == 1 + len(cli.STRATEGIES)
+    assert len(encodes) == 2 * 4       # 4 classes, prompted and vanilla
+
+
 def test_ablate_ensemble_axis_trains_once(tmp_path, monkeypatch):
     calls = []
     real = cli.train
@@ -531,6 +556,65 @@ def test_outputs_are_byte_identical_across_blas_thread_counts(tmp_path):
     for name in ("log.csv", "metrics.csv", "checkpoint.bin"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
             name
+
+
+STEP_FAULTS = """
+import resource, statistics, sys
+from dataclasses import replace
+from promptlab import cli, tuning
+
+real_step, faults = tuning.train_step, []
+
+def counted_step(*args, **kw):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = real_step(*args, **kw)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+tuning.train_step = counted_step
+cli.save_config(replace(cli.reference_config(), epochs=8), sys.argv[1])
+code = cli.main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, statistics.median(faults[2:]))
+"""
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_main_keeps_freed_step_arrays_in_the_heap(tmp_path):
+    # a fresh process, so the heap policy is the CLI's alone: without it a
+    # reference step faults over 2,000 freed pages back in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", STEP_FAULTS, str(tmp_path / "ref.ini"),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    code, median = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert float(median) <= 64
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, libc):
+    import ctypes
+
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    ini = write_tiny_ini(tmp_path)
+    assert main(["train", "--config", ini, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_main_help_exits_zero():

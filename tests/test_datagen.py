@@ -1,17 +1,25 @@
 """Dataset generation, splits, tokenizer, and checkpoint persistence."""
 
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptlab.datagen import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                FAMILIES, MIN_CONTRAST, TEMPLATE, VOCAB,
                                generate_dataset, load_checkpoint,
                                sample_few_shot, save_checkpoint,
                                select_classes, tokenize, tokenize_template)
-from promptlab.encoders import EncoderState, ModelConfig, PromptSet
+from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
+                                tensor_values)
 
 
 def small_dataset(seed=0, **kw):
@@ -252,6 +260,69 @@ def test_checkpoint_cross_config_shape_mismatch(tmp_path):
     bad.write_bytes(tampered)
     with pytest.raises(ValueError, match="shape mismatch"):
         load_checkpoint(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 3), dv=st.integers(1, 4), dt=st.integers(1, 4),
+       shared=st.integers(1, 5), depth=st.integers(1, 3),
+       prompt_depth=st.integers(1, 3), grid=st.integers(1, 2),
+       patch=st.integers(1, 3), vocab=st.integers(1, 20),
+       visual=st.integers(0, 3), text=st.integers(0, 3))
+def test_tensor_values_counts_tensor_items(heads, dv, dt, shared, depth,
+                                           prompt_depth, grid, patch, vocab,
+                                           visual, text):
+    cfg = ModelConfig(visual_width=heads * dv, text_width=heads * dt,
+                      shared_width=shared, depth=depth, heads=heads,
+                      patch_grid=(grid, grid), image_size=grid * patch,
+                      vocab_size=vocab, visual_prompt_len=visual,
+                      text_prompt_len=text,
+                      prompt_depth=min(prompt_depth, depth))
+    items = (EncoderState.initialize(cfg, seed=0).tensor_items()
+             + PromptSet.initialize(cfg, seed=0).tensor_items())
+    assert tensor_values(cfg) == sum(t.data.size for _, t in items)
+
+
+HUGE = 1 << 30     # a width whose first weight alone is 32 GiB of float64
+
+LOAD_UNDER_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from promptlab.datagen import load_checkpoint
+try:
+    load_checkpoint(sys.argv[1])
+except ValueError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("tensors,match", [
+    (None, "^shape mismatch: file has "),
+    ([["patch_embed", [HUGE, HUGE]]], "^corrupt checkpoint$"),
+], ids=["config", "config_and_tensor_list"])
+def test_checkpoint_header_with_huge_width_is_rejected_before_allocating(
+        tmp_path, tensors, match):
+    # in a child under a 1 GiB address-space limit: a load that built the
+    # header's model first would raise MemoryError there, not ValueError
+    cfg, state, prompts = ckpt_fixture()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, cfg, state, prompts)
+
+    def edit(header):
+        header["config"].update(visual_width=HUGE, text_width=HUGE)
+        if tensors is not None:
+            header["tensors"] = tensors
+
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(rewrite_header(p.read_bytes(), edit))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", LOAD_UNDER_LIMIT, str(bad)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert re.search(match, done.stdout.strip()), done.stdout
 
 
 @pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": [0, 4]},
