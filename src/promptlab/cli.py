@@ -22,14 +22,15 @@ from .datagen import (FAMILIES, MIN_IMAGE_SIZE, VOCAB, SyntheticDataset,
                       atomic_open, generate_dataset, held_out,
                       sample_few_shot, save_checkpoint, select_classes,
                       tokenize_template)
-from .encoders import EncoderState, ModelConfig, PromptSet
+from .encoders import (EncoderState, ModelConfig, PromptSet,
+                       encode_image_prompted)
 from .ensemble import predict, resolve_strategy
-from .evalkit import (accuracy, binarize_map, extract_attention_map,
-                      foreground_mass, gradcam_map, harmonic_mean,
-                      mean_metrics, segmentation_metrics, upsample_nearest,
-                      write_csv, write_pgm)
+from .evalkit import (accuracy, attention_grid, binarize_map, foreground_mass,
+                      gradcam_map, harmonic_mean, mean_metrics,
+                      segmentation_metrics, upsample_nearest, write_csv,
+                      write_pgm)
 from .tuning import (EVAL_CHUNK, LOG_COLUMNS, build_text_bank,
-                     global_branch_accuracy, train)
+                     global_branch_accuracy, train, vanilla_text_rows)
 
 STRATEGIES = ("equal", "confidence", "threshold")
 # each ablation axis and the config key it sweeps; the loss axis toggles
@@ -225,19 +226,17 @@ def validate(cfg: ExperimentConfig) -> None:
 
 # ------------------------------------------------------------ run helpers
 
-def _strategies(cfg: ExperimentConfig) -> tuple:
-    return (cfg.strategy,) if cfg.strategy else STRATEGIES
-
-
 def _hm_or_zero(a: float, b: float) -> float:
     return harmonic_mean(a, b) if a > 0 and b > 0 else 0.0
 
 
-def _predict_all(subset, prompts, mcfg, state, bank, strategy) -> float:
-    preds = [predict(subset.images[start:start + EVAL_CHUNK], prompts, mcfg,
-                     state, bank, strategy)
-             for start in range(0, len(subset), EVAL_CHUNK)]
-    return accuracy(np.concatenate(preds), subset.labels)
+def _predict_all(subset, prompts, mcfg, state, bank, strategies) -> list:
+    """Accuracy of each strategy, from one forward per chunk for all."""
+    chunks = [predict(subset.images[start:start + EVAL_CHUNK], prompts, mcfg,
+                      state, bank, strategies)
+              for start in range(0, len(subset), EVAL_CHUNK)]
+    return [accuracy(np.concatenate(preds), subset.labels)
+            for preds in zip(*chunks)]
 
 
 def _score(split, prompts, mcfg, state, strategies, bank=None) -> list:
@@ -246,8 +245,7 @@ def _score(split, prompts, mcfg, state, strategies, bank=None) -> list:
     names, subset = split
     if bank is None:
         bank = build_text_bank(names, prompts.detached(), mcfg, state)
-    return [_predict_all(subset, prompts, mcfg, state, bank, strategy)
-            for strategy in strategies]
+    return _predict_all(subset, prompts, mcfg, state, bank, strategies)
 
 
 def _splits(ds: SyntheticDataset, train_set, note: bool = True) -> tuple:
@@ -314,7 +312,7 @@ def run_base_to_novel(cfg: ExperimentConfig) -> dict:
     gb, gn = (global_branch_accuracy(subset, names, prompts, mcfg, state,
                                      bank=bank)
               for (names, subset), bank in zip(splits, banks))
-    strategies = _strategies(cfg)
+    strategies = (cfg.strategy,) if cfg.strategy else STRATEGIES
     base, novel = (_score(split, prompts, mcfg, state, strategies, bank)
                    for split, bank in zip(splits, banks))
     rows = [[name, ab, an, _hm_or_zero(ab, an)] for name, ab, an in
@@ -365,10 +363,15 @@ def run_segment(cfg: ExperimentConfig) -> dict:
     tokens = ["CLS"] + [f"VP:{i}" for i in range(cfg.visual_prompt_len)]
     rows = []
     out = _outdir(cfg)
+    vrows = vanilla_text_rows(base_names, mcfg, state)
     for tag, prompts in (("untrained", prompts0), ("trained", result.prompts)):
-        bank = build_text_bank(base_names, prompts.detached(), mcfg, state)
-        maps = {token: [extract_attention_map(img, prompts, mcfg, state, token)
-                        for img in eval_set.images] for token in tokens}
+        frozen = prompts.detached()
+        bank = build_text_bank(base_names, frozen, mcfg, state, vrows)
+        # every token reads the same final-layer attention of one encode
+        final = [encode_image_prompted(img, frozen, mcfg, state).attentions[-1]
+                 for img in eval_set.images]
+        maps = {token: [attention_grid(a, token, mcfg) for a in final]
+                for token in tokens}
         maps["GradCAM"] = [gradcam_map(img, prompts, mcfg, state, bank)
                            for img in eval_set.images]
         for token, grids in maps.items():

@@ -80,11 +80,16 @@ def resolve_strategy(name: str):
 
 
 def predict(image, prompts: PromptSet, cfg: ModelConfig, state: EncoderState,
-            bank: TextBank, strategy: str = "equal"):
+            bank: TextBank, strategy: str | tuple = "equal"):
     """Final class index under the chosen ensemble, ties breaking low: an
-    ``int`` for one image, a ``(B,)`` array for a ``(B, size, size)`` stack."""
-    combine = resolve_strategy(strategy)
+    ``int`` for one image, a ``(B,)`` array for a ``(B, size, size)`` stack;
+    a tuple of strategy names gives a tuple, one per name, from one forward."""
+    names = (strategy,) if isinstance(strategy, str) else tuple(strategy)
+    if not names:
+        raise ValueError("no ensemble strategy given")
+    combines = [resolve_strategy(name) for name in names]
     outputs = forward_three_branch(image, prompts, cfg, state)
-    combined = combine(three_branch_logits(outputs, bank, cfg.temperature))
-    pred = np.argmax(combined, axis=-1)
-    return int(pred) if pred.ndim == 0 else pred
+    logits = three_branch_logits(outputs, bank, cfg.temperature)
+    preds = [np.argmax(combine(logits), axis=-1) for combine in combines]
+    preds = tuple(int(p) if p.ndim == 0 else p for p in preds)
+    return preds[0] if isinstance(strategy, str) else preds

@@ -62,14 +62,19 @@ def _selector_index(selector: str, cfg: ModelConfig) -> int:
 def extract_attention_map(image, prompts: PromptSet, cfg: ModelConfig,
                           state: EncoderState,
                           token_selector: str = "CLS") -> np.ndarray:
-    """Final-layer attention of the selected query token over the patch
-    tokens, head-averaged and renormalized to sum to 1, as a
-    ``patch_grid`` array."""
-    row_idx = _selector_index(token_selector, cfg)
+    """:func:`attention_grid` of the image's final-layer attention."""
+    _selector_index(token_selector, cfg)               # fail before encoding
     res = encode_image_prompted(image, prompts.detached(), cfg, state)
-    weights = res.attentions[-1].mean(axis=0)          # (n, n), heads merged
-    m = cfg.num_patches
-    row = weights[row_idx, 1:1 + m]                    # patch columns only
+    return attention_grid(res.attentions[-1], token_selector, cfg)
+
+
+def attention_grid(attention: np.ndarray, token_selector: str,
+                   cfg: ModelConfig) -> np.ndarray:
+    """Attention ``(heads, n, n)`` of the selected query token over the
+    patch tokens, head-averaged and renormalized to sum to 1, as a
+    ``patch_grid`` array."""
+    row = attention.mean(axis=0)[_selector_index(token_selector, cfg)]
+    row = row[1:1 + cfg.num_patches]                   # patch columns only
     return (row / row.sum()).reshape(cfg.patch_grid)
 
 

@@ -271,6 +271,80 @@ def test_segment_reproducible(tmp_path):
     assert read(a / "segmentation.csv") == read(b / "segmentation.csv")
 
 
+def test_segment_encodes_each_image_once_per_prompt_state(tmp_path,
+                                                         monkeypatch):
+    # after train(), every token's map of an image reads one encode's
+    # final-layer attention, GradCAM encodes on its own, and the promptless
+    # text rows are encoded once for both prompt states' banks
+    import promptlab.encoders as enc
+    import promptlab.evalkit as evalkit
+    import promptlab.tuning as tuning
+    real_train = cli.train
+    real_image, real_text = enc.encode_image_prompted, enc.encode_text_prompted
+    trained, images, texts = [], [], []
+
+    def marking_train(*args, **kw):
+        result = real_train(*args, **kw)
+        trained.append(1)
+        return result
+
+    def counting_image(*args, **kw):
+        if trained:
+            images.append(1)
+        return real_image(*args, **kw)
+
+    def counting_text(ids, prompts, *args, **kw):
+        if trained:
+            texts.append(not prompts.visual and not prompts.textual)
+        return real_text(ids, prompts, *args, **kw)
+
+    monkeypatch.setattr(cli, "train", marking_train)
+    for module in (enc, cli, evalkit, tuning):
+        if hasattr(module, "encode_image_prompted"):
+            monkeypatch.setattr(module, "encode_image_prompted",
+                                counting_image)
+    monkeypatch.setattr(tuning, "encode_text_prompted", counting_text)
+    cfg = replace(reference_config(), epochs=1, out=str(tmp_path / "s"))
+    report = run_segment(cfg)
+    n_eval = cfg.per_class * 2 - cfg.shots * 2      # held-out base rows
+    assert n_eval == 32
+    assert len(report["rows"]) == 2 * (1 + cfg.visual_prompt_len + 1)
+    # 2 prompt states x 32 images x (one attention encode + GradCAM's)
+    assert len(images) == 2 * n_eval * 2 == 128
+    # 2 base classes: prompted rows per state, promptless rows once
+    assert len(texts) == 6 and sum(texts) == 2
+
+
+def test_segment_attention_maps_equal_extract_attention_map(tmp_path):
+    from promptlab.evalkit import extract_attention_map
+    cfg = tiny(out=str(tmp_path / "s"), epochs=1)
+    report = run_segment(cfg)
+    mcfg = to_model_config(cfg)
+    ds = generate_dataset(cfg.n_classes, cfg.per_class, cfg.image_size,
+                          cfg.data_seed, cfg.family_offset)
+    state = EncoderState.initialize(mcfg, seed=cfg.seed)
+    prompts0 = PromptSet.initialize(mcfg, seed=cfg.seed + 1)
+    (_, eval_set), _ = cli._splits(ds, cli.sample_few_shot(
+        ds, cfg.shots, ds.base_classes, seed=cfg.data_seed))
+    gts = ds.gt_masks[eval_set.indices]
+    for prompts, tag in ((prompts0, "untrained"),
+                         (report["result"].prompts, "trained")):
+        want = {}
+        for token in ["CLS"] + [f"VP:{i}" for i in range(2)]:
+            grids = [extract_attention_map(img, prompts, mcfg, state, token)
+                     for img in eval_set.images]
+            agg = cli.mean_metrics(cli.segmentation_metrics(
+                cli.upsample_nearest(g, cfg.image_size),
+                cli.binarize_map(g, cfg.image_size), gt)
+                for g, gt in zip(grids, gts))
+            mass = float(np.mean([cli.foreground_mass(g, gt)
+                                  for g, gt in zip(grids, gts)]))
+            want[token] = [agg.pix_acc, agg.m_iou, agg.m_ap, mass]
+        got = {r[1]: r[2:] for r in report["rows"] if r[0] == tag}
+        for token, values in want.items():
+            assert got[token] == values, (tag, token)
+
+
 # ------------------------------------------------------------------ ablate
 
 def test_ablate_depth_sweep(tmp_path):
@@ -315,6 +389,30 @@ def test_base_to_novel_encodes_each_split_bank_once(tmp_path, monkeypatch):
                                     epochs=1))
     assert len(report["rows"]) == 1 + len(cli.STRATEGIES)
     assert len(encodes) == 2 * 4       # 4 classes, prompted and vanilla
+
+
+def test_score_runs_one_forward_per_chunk_for_every_strategy(monkeypatch):
+    import promptlab.ensemble as ens
+    from promptlab.datagen import select_classes
+    cfg = tiny(per_class=10)
+    mcfg = to_model_config(cfg)
+    ds = generate_dataset(2, 10, cfg.image_size, 0)
+    split = (ds.class_names, select_classes(ds, (0, 1)))
+    assert len(split[1]) == 20
+    state = EncoderState.initialize(mcfg, seed=0)
+    prompts = PromptSet.initialize(mcfg, seed=1)
+    one_by_one = [cli._score(split, prompts, mcfg, state, (s,))[0]
+                  for s in cli.STRATEGIES]
+    real, calls = ens.forward_three_branch, []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ens, "forward_three_branch", counting)
+    scores = cli._score(split, prompts, mcfg, state, cli.STRATEGIES)
+    assert len(calls) == 3                 # ceil(20 / EVAL_CHUNK) chunks
+    assert scores == one_by_one
 
 
 def test_ablate_ensemble_axis_trains_once(tmp_path, monkeypatch):
@@ -621,3 +719,18 @@ def test_main_help_exits_zero():
     with pytest.raises(SystemExit) as e:
         main(["--help"])
     assert e.value.code == 0
+
+
+def test_import_promptlab_leaves_the_cli_and_its_modules_unloaded():
+    # the benchmark's set-up time is this import, numpy already loaded
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+             "before = set(sys.modules); import promptlab; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe, src],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    added = set(done.stdout.split())
+    assert "promptlab" in added and "promptlab.ensemble" in added
+    for name in ("promptlab.cli", "argparse", "configparser", "traceback"):
+        assert name not in added, name

@@ -1,5 +1,6 @@
 """Ensemble strategy contracts: hand cases, invariances, and integration."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -364,18 +365,55 @@ def test_predict_without_visual_prompts():
         assert predict(image, prompts, cfg, state, bank, strategy) in (0, 1)
 
 
+STRATEGY_NAMES = ("equal", "confidence", "threshold", "threshold:0.6")
+
+
 @pytest.mark.parametrize("v", [0, 2])
 def test_predict_on_a_stack_equals_one_image_at_a_time(v):
     cfg, state, prompts, bank, _ = setup_model(v)
     rng = np.random.default_rng(9)
     images = rng.uniform(size=(7, cfg.image_size, cfg.image_size))
-    for strategy in ("equal", "confidence", "threshold", "threshold:0.6"):
+    singles, stacks = {}, {}
+    for strategy in STRATEGY_NAMES:
         single = [predict(img, prompts, cfg, state, bank, strategy)
                   for img in images]
         assert all(type(p) is int for p in single)
         batched = predict(images, prompts, cfg, state, bank, strategy)
         assert batched.shape == (7,)
         assert batched.tolist() == single
+        singles[strategy], stacks[strategy] = single, batched
+    # a tuple of names gives each name's one-name result, in its order
+    for k in range(1, len(STRATEGY_NAMES) + 1):
+        for names in itertools.permutations(STRATEGY_NAMES, k):
+            for i, img in enumerate(images[:2]):
+                got = predict(img, prompts, cfg, state, bank, names)
+                assert type(got) is tuple and len(got) == k
+                assert all(type(p) is int for p in got)
+                assert list(got) == [singles[n][i] for n in names]
+            got = predict(images, prompts, cfg, state, bank, names)
+            assert type(got) is tuple and len(got) == k
+            for name, preds in zip(names, got):
+                assert preds.dtype == stacks[name].dtype
+                assert preds.tobytes() == stacks[name].tobytes()
+
+
+@pytest.mark.parametrize("names", [(), ("equal", "median"), ("median",)])
+def test_predict_rejects_bad_strategy_tuples_before_encoding(names,
+                                                             monkeypatch):
+    import promptlab.ensemble as ens
+    cfg, state, prompts, bank, image = setup_model()
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return forward_three_branch(*args, **kw)
+
+    monkeypatch.setattr(ens, "forward_three_branch", counting)
+    with pytest.raises(ValueError):
+        predict(image, prompts, cfg, state, bank, names)
+    assert not calls
+    predict(image, prompts, cfg, state, bank, ("equal",))
+    assert calls == [1]
 
 
 def test_scoring_leaves_the_callers_prompts_alone():
