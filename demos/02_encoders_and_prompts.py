@@ -14,7 +14,7 @@ from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
 from promptlab.tuning import forward_three_branch
 
 cfg = ModelConfig(visual_width=16, text_width=16, shared_width=8, depth=2,
-                  heads=2, patch_grid=(4, 4), image_size=16, vocab_size=16,
+                  heads=2, patch_grid=4, image_size=16, vocab_size=16,
                   text_prompt_len=2, visual_prompt_len=3)
 state = EncoderState.initialize(cfg, seed=0)      # frozen backbone
 prompts = PromptSet.initialize(cfg, seed=1)       # the only trainables

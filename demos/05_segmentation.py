@@ -18,7 +18,7 @@ from promptlab.evalkit import (binarize_map, extract_attention_map,
 from promptlab.tuning import build_text_bank
 
 cfg = ModelConfig(visual_width=16, text_width=16, shared_width=8, depth=2,
-                  heads=2, patch_grid=(4, 4), image_size=16, vocab_size=16,
+                  heads=2, patch_grid=4, image_size=16, vocab_size=16,
                   text_prompt_len=2, visual_prompt_len=2, temperature=0.1)
 state = EncoderState.initialize(cfg, seed=0)
 prompts = PromptSet.initialize(cfg, seed=1)

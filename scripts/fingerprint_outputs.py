@@ -28,10 +28,11 @@ from pathlib import Path
 AXES = ("depth", "length", "loss", "ensemble")
 
 LOAD = """
-import hashlib, json, sys
+import dataclasses, hashlib, json, sys
 from promptlab.datagen import load_checkpoint
 cfg, state, prompts = load_checkpoint(sys.argv[1])
-digest = hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode())
+digest = hashlib.sha256(json.dumps(dataclasses.asdict(cfg),
+                                   sort_keys=True).encode())
 digest.update(state.to_bytes())
 digest.update(prompts.to_bytes())
 print(digest.hexdigest())

@@ -228,10 +228,6 @@ def _sqrt_vjp(g, k, a, out):
     return g * 0.5 / out
 
 
-def _tanh_vjp(g, k, a, out):
-    return g * (1.0 - out * out)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -247,12 +243,6 @@ def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
     return _make("sqrt", out_data, (a,), (_sqrt_vjp,), (out_data,))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-    return _make("tanh", out_data, (a,), (_tanh_vjp,), (out_data,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -381,9 +371,9 @@ def dot(a, b) -> Tensor:
     return tsum(mul(a, b), axis=-1)
 
 
-def norm(a, keepdims: bool = False) -> Tensor:
+def norm(a) -> Tensor:
     """Euclidean norm over the last axis."""
-    return sqrt(tsum(mul(a, a), axis=-1, keepdims=keepdims))
+    return sqrt(tsum(mul(a, a), axis=-1))
 
 
 # -- linear algebra -------------------------------------------------------

@@ -166,14 +166,12 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def to_model_config(cfg: ExperimentConfig) -> ModelConfig:
-    """Every field the two configs share, by name; the grid side becomes a
-    pair, prompt depth 0 means full depth, and the vocabulary is fixed."""
+    """Every field the two configs share, by name, and the fixed
+    vocabulary."""
     shared = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)
               if f.name in _FIELD_TYPES}
-    shared.update(patch_grid=(cfg.patch_grid, cfg.patch_grid),
-                  prompt_depth=cfg.prompt_depth or None, vocab_size=len(VOCAB))
     try:
-        return ModelConfig(**shared)
+        return ModelConfig(**shared, vocab_size=len(VOCAB))
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -205,13 +203,13 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(str(e))
     if cfg.ablate_axis not in ABLATE_AXES:
         raise ConfigError(f"unknown ablation axis {cfg.ablate_axis!r}")
-    to_model_config(cfg)   # surface model-level validation errors now
+    mcfg = to_model_config(cfg)   # surface model-level validation errors now
     # a run's largest arrays are one layer's float64 attention weights,
     # heads x n x n per sequence: for a batch (or an eval chunk) of
     # [class | patches | prompts] images, or for one [eos | words | prompts]
     # class text
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    n_image = 1 + cfg.patch_grid ** 2 + cfg.visual_prompt_len
+    n_image = 1 + mcfg.num_patches + mcfg.visual_prompt_len
     n_text = 1 + len(tokenize_template(FAMILIES[0])) + cfg.text_prompt_len
     for name, nbytes in (
             ("visual_prompt_len",

@@ -15,13 +15,13 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .encoders import (MAX_TEXT_LEN, EncoderState, ModelConfig, PromptSet,
-                       _stream, tensor_values)
+from .encoders import (EncoderState, ModelConfig, PromptSet, _stream,
+                       tensor_values)
 
 # ordered so small n_classes slices are maximally distinct; offset 4 yields
 # a disjoint family set for transfer targets
@@ -39,7 +39,7 @@ MIN_CONTRAST = 0.4       # guaranteed fg-vs-bg mean intensity gap
 MIN_IMAGE_SIZE = 8       # smallest canvas the shape renderer supports
 
 CHECKPOINT_MAGIC = b"PLCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------- shapes
@@ -184,18 +184,15 @@ def select_classes(dataset: SyntheticDataset, class_list) -> Subset:
     for c in class_list:
         if not 0 <= c < dataset.n_classes:
             raise ValueError(f"class {c} not in dataset")
-    keep = [i for i in range(len(dataset.labels))
-            if int(dataset.labels[i]) in set(class_list)]
+    keep = np.flatnonzero(np.isin(dataset.labels, class_list))
     return _take(dataset, keep, class_list)
 
 
 def held_out(dataset: SyntheticDataset, subset: Subset) -> Subset:
     """Rows of ``subset.class_list`` classes absent from ``subset``."""
-    used = set(subset.indices.tolist())
-    classes = set(subset.class_list)
-    keep = [i for i in range(len(dataset.labels))
-            if int(dataset.labels[i]) in classes and i not in used]
-    return _take(dataset, keep, subset.class_list)
+    keep = np.isin(dataset.labels, subset.class_list)
+    keep[subset.indices] = False
+    return _take(dataset, np.flatnonzero(keep), subset.class_list)
 
 
 def sample_few_shot(dataset: SyntheticDataset, k: int, class_list,
@@ -253,8 +250,7 @@ def save_checkpoint(path, cfg: ModelConfig, state: EncoderState,
                     prompts: PromptSet) -> None:
     payload = state.to_bytes() + prompts.to_bytes()
     header = {
-        "config": cfg.to_dict(),
-        "max_text_len": MAX_TEXT_LEN,
+        "config": asdict(cfg),
         "sha256": hashlib.sha256(payload).hexdigest(),
         "tensors": [[name, list(t.shape)] for name, t in
                     state.tensor_items() + prompts.tensor_items()],
@@ -290,7 +286,7 @@ def load_checkpoint(path):
         raise ValueError("corrupt checkpoint")
     try:
         header = json.loads(raw[16:offset].decode())
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig(**header["config"])
         entries = [(str(n), tuple(s)) for n, s in header["tensors"]]
         digest = header["sha256"]
         listed = sum(math.prod(s) for _, s in entries)

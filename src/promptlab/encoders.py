@@ -10,7 +10,7 @@ class and patch attention untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,19 +25,21 @@ MAX_TEXT_LEN = 16  # rows of the text positional table
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All scalar hyperparameters of the dual encoder."""
+    """All scalar hyperparameters of the dual encoder: each image is cut
+    into ``patch_grid`` x ``patch_grid`` square patches, and
+    ``prompt_depth = 0`` puts prompts at every layer."""
 
     visual_width: int = 32
     text_width: int = 32
     shared_width: int = 16
     depth: int = 3
     heads: int = 4
-    patch_grid: tuple = (4, 4)
+    patch_grid: int = 4
     image_size: int = 16
     vocab_size: int = 16
     text_prompt_len: int = 4
     visual_prompt_len: int = 4
-    prompt_depth: Optional[int] = None
+    prompt_depth: int = 0
     temperature: float = 0.01
     text_consistency_weight: float = 3.0
     image_consistency_weight: float = 4.0
@@ -45,15 +47,15 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("depth", "heads", "visual_width", "text_width",
-                     "shared_width", "image_size", "vocab_size"):
+                     "shared_width", "image_size", "vocab_size", "patch_grid"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.prompt_depth is None:
+        if self.prompt_depth == 0:
             object.__setattr__(self, "prompt_depth", self.depth)
         if self.visual_width % self.heads or self.text_width % self.heads:
             raise ValueError("encoder widths must be divisible by head count")
         if not 1 <= self.prompt_depth <= self.depth:
-            raise ValueError("prompt_depth must lie in 1..depth")
+            raise ValueError("prompt_depth must lie in 0..depth")
         for name in ("visual_prompt_len", "text_prompt_len"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -63,36 +65,16 @@ class ModelConfig:
         for name in ("text_consistency_weight", "image_consistency_weight"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
-        rows, cols = self.patch_grid
-        if min(rows, cols) < 1:
-            raise ValueError("patch_grid sides must be at least 1")
-        if self.image_size % rows or self.image_size % cols:
-            raise ValueError("image_size must be divisible by the patch grid")
+        if self.image_size % self.patch_grid:
+            raise ValueError("image_size must be divisible by patch_grid")
 
     @property
     def num_patches(self) -> int:
-        return self.patch_grid[0] * self.patch_grid[1]
-
-    @property
-    def patch_shape(self) -> tuple:
-        rows, cols = self.patch_grid
-        return self.image_size // rows, self.image_size // cols
+        return self.patch_grid ** 2
 
     @property
     def patch_dim(self) -> int:
-        ph, pw = self.patch_shape
-        return ph * pw
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["patch_grid"] = list(self.patch_grid)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["patch_grid"] = tuple(d["patch_grid"])
-        return cls(**d)
+        return (self.image_size // self.patch_grid) ** 2
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -257,12 +239,11 @@ def tensor_values(cfg: ModelConfig) -> int:
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Split an image into row-major flattened patches, shape (m, patch_dim);
     a stack of images (..., size, size) gives (..., m, patch_dim)."""
-    rows, cols = cfg.patch_grid
-    ph, pw = cfg.patch_shape
+    n, side = cfg.patch_grid, cfg.image_size // cfg.patch_grid
     lead = image.shape[:-2]
-    patches = image.reshape(*lead, rows, ph, cols, pw).swapaxes(-3, -2)
+    patches = image.reshape(*lead, n, side, n, side).swapaxes(-3, -2)
     return np.ascontiguousarray(
-        patches.reshape(*lead, cfg.num_patches, ph * pw))
+        patches.reshape(*lead, cfg.num_patches, cfg.patch_dim))
 
 
 def embed_image(image, cfg: ModelConfig, state: EncoderState):

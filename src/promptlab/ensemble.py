@@ -72,9 +72,13 @@ def resolve_strategy(name: str):
     if name == "threshold":
         return ensemble_threshold
     if name.startswith("threshold:"):
-        theta = float(name.split(":", 1)[1])
+        try:
+            theta = float(name.split(":", 1)[1])
+        except ValueError:
+            theta = np.nan   # fails the range check below
         if not 0.0 < theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
+            raise ValueError(f"ensemble strategy {name!r}: theta must be a "
+                             f"number in (0, 1)")
         return lambda lg: ensemble_threshold(lg, theta)
     raise ValueError(f"unknown ensemble strategy {name!r}")
 

@@ -72,10 +72,10 @@ def attention_grid(attention: np.ndarray, token_selector: str,
                    cfg: ModelConfig) -> np.ndarray:
     """Attention ``(heads, n, n)`` of the selected query token over the
     patch tokens, head-averaged and renormalized to sum to 1, as a
-    ``patch_grid`` array."""
+    ``(patch_grid, patch_grid)`` array."""
     row = attention.mean(axis=0)[_selector_index(token_selector, cfg)]
     row = row[1:1 + cfg.num_patches]                   # patch columns only
-    return (row / row.sum()).reshape(cfg.patch_grid)
+    return (row / row.sum()).reshape(cfg.patch_grid, -1)
 
 
 def _patch_blocks(image_size: int, grid_shape) -> tuple:
@@ -201,7 +201,7 @@ def gradcam_map(image, prompts: PromptSet, cfg: ModelConfig,
                                rows[class_index])
     ad.backward(sim)
     w = leaf.grad[1:1 + m].mean(axis=0)
-    return np.maximum(acts[1:1 + m] @ w, 0.0).reshape(cfg.patch_grid)
+    return np.maximum(acts[1:1 + m] @ w, 0.0).reshape(cfg.patch_grid, -1)
 
 
 # ------------------------------------------------------------- exporters

@@ -69,12 +69,12 @@ def oracle_layer(h, lw, heads):
 
 
 def patches_by_loop(image, cfg):
-    ph, pw = cfg.patch_shape
+    p = cfg.image_size // cfg.patch_grid
     rows = []
-    for r in range(cfg.patch_grid[0]):
-        for c in range(cfg.patch_grid[1]):
-            rows.append(image[r * ph:(r + 1) * ph,
-                              c * pw:(c + 1) * pw].reshape(-1))
+    for r in range(cfg.patch_grid):
+        for c in range(cfg.patch_grid):
+            rows.append(image[r * p:(r + 1) * p,
+                              c * p:(c + 1) * p].reshape(-1))
     return np.stack(rows)
 
 

@@ -36,7 +36,7 @@ def test_criterion_1_gradient_fidelity():
     """Total-loss gradients vs central differences on the stated sizes."""
     started = time.time()
     cfg = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=2,
-                      heads=2, patch_grid=(2, 2), image_size=8, vocab_size=12,
+                      heads=2, patch_grid=2, image_size=8, vocab_size=12,
                       text_prompt_len=2, visual_prompt_len=2, temperature=0.5)
     state = EncoderState.initialize(cfg, seed=0)
     prompts = PromptSet.initialize(cfg, seed=1)
@@ -73,7 +73,7 @@ def test_criterion_2_equation_identities():
 
     # weighted global loss collapses to plain CE at zero weights
     cfg = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=2,
-                      heads=2, patch_grid=(2, 2), image_size=8, vocab_size=12,
+                      heads=2, patch_grid=2, image_size=8, vocab_size=12,
                       text_prompt_len=2, visual_prompt_len=2,
                       text_consistency_weight=0.0,
                       image_consistency_weight=0.0, temperature=0.5)
@@ -159,7 +159,7 @@ def test_criterion_4_mask_semantics():
 
 def test_criterion_5_branch_isolation(reference_run):
     cfg = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=2,
-                      heads=2, patch_grid=(2, 2), image_size=8, vocab_size=12,
+                      heads=2, patch_grid=2, image_size=8, vocab_size=12,
                       text_prompt_len=2, visual_prompt_len=2)
     state = EncoderState.initialize(cfg, seed=0)
     image = np.random.default_rng(1).uniform(size=(8, 8))

@@ -336,7 +336,7 @@ def _scenario(name, seed):
         return [a, b], lambda: ad.tsum((a + b) * (a + b))
     if name == "add_broadcast":
         a, b = t(3, 4), t(4)
-        return [a, b], lambda: ad.tsum(ad.tanh(a + b))
+        return [a, b], lambda: ad.tsum(ad.gelu(a + b))
     if name == "sub":
         a, b = t(5), t(5)
         return [a, b], lambda: ad.tsum((a - b) * a)
@@ -355,9 +355,6 @@ def _scenario(name, seed):
     if name == "sqrt":
         a = Tensor(rng.uniform(0.5, 3.0, size=5), requires_grad=True)
         return [a], lambda: ad.tsum(ad.sqrt(a))
-    if name == "tanh":
-        a = t(7)
-        return [a], lambda: ad.tsum(ad.tanh(a))
     if name == "gelu":
         a = t(7)
         return [a], lambda: ad.tsum(ad.gelu(a))
@@ -375,71 +372,71 @@ def _scenario(name, seed):
         return [a, b], lambda: ad.tsum(a @ b)
     if name == "matmul_32":
         a, b = t(2, 3, 4), t(4, 2)
-        return [a, b], lambda: ad.tsum(ad.tanh(a @ b))
+        return [a, b], lambda: ad.tsum(ad.gelu(a @ b))
     if name == "matmul_44":
         a, b = t(2, 2, 3, 4), t(2, 2, 4, 3)
-        return [a, b], lambda: ad.tsum(ad.tanh(a @ b))
+        return [a, b], lambda: ad.tsum(ad.gelu(a @ b))
     if name == "sum_axis":
         a = t(3, 5)
-        return [a], lambda: ad.tsum(ad.tanh(ad.tsum(a, axis=1)))
+        return [a], lambda: ad.tsum(ad.gelu(ad.tsum(a, axis=1)))
     if name == "mean":
         a = t(4, 3)
         return [a], lambda: ad.tsum(ad.mean(a, axis=0) * ad.mean(a, axis=0))
     if name == "reshape_transpose":
         a = t(2, 6)
         return [a], lambda: ad.tsum(
-            ad.tanh(ad.transpose(ad.reshape(a, (2, 3, 2)), (1, 0, 2))) * 2.0)
+            ad.gelu(ad.transpose(ad.reshape(a, (2, 3, 2)), (1, 0, 2))) * 2.0)
     if name == "concat":
         a, b = t(2, 3), t(4, 3)
-        return [a, b], lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=0)))
+        return [a, b], lambda: ad.tsum(ad.gelu(ad.concat([a, b], axis=0)))
     if name == "concat_broadcast":
         a, b, w = t(2, 3, 4), t(2, 4), t(2, 5, 4)
-        return [a, b], lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=-2)) * w)
+        return [a, b], lambda: ad.tsum(ad.gelu(ad.concat([a, b], axis=-2)) * w)
     if name == "getitem":
         a = t(5, 4)
         return [a], lambda: ad.tsum(a[1:4] * a[1:4])
     if name == "getitem_basic":
         a, w = t(3, 4, 5), t(2, 4)
-        return [a], lambda: ad.tsum(ad.tanh(a[..., 1:3]) * a[0, ..., 3:]) + (
+        return [a], lambda: ad.tsum(ad.gelu(a[..., 1:3]) * a[0, ..., 3:]) + (
             ad.tsum(a[1, :, -1] * a[2, :, 0]) + ad.tsum(a[:2, 0, 0] * w[:, 0]))
     if name == "getitem_repeat":
         a = t(4, 3)
         pick = (np.array([0, 2, 0, 3, 0]), np.array([1, 1, 1, 0, 2]))
-        return [a], lambda: ad.tsum(ad.tanh(a[[0, 0, 3]]) * 1.5) + ad.tsum(
+        return [a], lambda: ad.tsum(ad.gelu(a[[0, 0, 3]]) * 1.5) + ad.tsum(
             a[pick] * a[pick])
     if name == "stack":
         a, b = t(4), t(4)
-        return [a, b], lambda: ad.tsum(ad.tanh(ad.stack_rows([a, b, a])))
+        return [a, b], lambda: ad.tsum(ad.gelu(ad.stack_rows([a, b, a])))
     if name == "softmax":
         a, w = t(6), t(6)
         return [a, w], lambda: ad.tsum(softmax(a) * w)
     if name == "layer_norm":
         a, g, b2 = t(3, 8), t(8), t(8)
-        return [a, g, b2], lambda: ad.tsum(ad.tanh(ad.layer_norm(a, g, b2)))
+        return [a, g, b2], lambda: ad.tsum(ad.gelu(ad.layer_norm(a, g, b2)))
     if name == "cosine":
         a, b = t(5), t(5)
         return [a, b], lambda: cosine_similarity(a, b)
     if name == "cosine_broadcast":
         a, b = t(3, 1, 5), t(4, 5)
-        return [a, b], lambda: ad.tsum(ad.tanh(cosine_similarity(a, b)))
+        return [a, b], lambda: ad.tsum(ad.gelu(cosine_similarity(a, b)))
     if name == "attention":
         q, k, v = t(4, 6), t(4, 6), t(4, 6)
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = mask[3, 0] = True
         return [q, k, v], lambda: ad.tsum(
-            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)[0]))
+            ad.gelu(masked_attention(q, k, v, mask=mask, heads=2)[0]))
     if name == "attention_batched":
         q, k, v = t(2, 4, 6), t(2, 4, 6), t(2, 4, 6)
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = mask[3, 0] = True
         return [q, k, v], lambda: ad.tsum(
-            ad.tanh(masked_attention(q, k, v, mask=mask, heads=2)[0]))
+            ad.gelu(masked_attention(q, k, v, mask=mask, heads=2)[0]))
     raise KeyError(name)
 
 
 PRIMITIVES = [
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
-    "tanh", "gelu", "gelu_batched", "matmul_22", "matmul_12",
+    "gelu", "gelu_batched", "matmul_22", "matmul_12",
     "matmul_33", "matmul_32", "matmul_44", "sum_axis", "mean",
     "reshape_transpose", "concat", "concat_broadcast", "getitem",
     "getitem_basic", "getitem_repeat", "stack",
@@ -568,7 +565,7 @@ def test_reduction_axis_gradients_match_finite_differences(reduce, shape,
     w = Tensor(rng.normal(size=reduce(a, axis=axis, **kw).shape))
 
     def make_loss():
-        return ad.tsum(ad.tanh(reduce(a, axis=axis, **kw)) * w)
+        return ad.tsum(ad.gelu(reduce(a, axis=axis, **kw)) * w)
 
     backward(make_loss())
     fd = finite_difference_gradient(lambda: make_loss().item(), [a])[0]
@@ -631,7 +628,7 @@ def test_constant_inputs_run_no_vjp_and_leave_live_gradients_unchanged(
 
 @pytest.mark.parametrize("op, arity", [
     (ad.add, 2), (ad.sub, 2), (ad.mul, 2), (ad.div, 2), (ad.matmul, 2),
-    (ad.exp, 1), (ad.log, 1), (ad.sqrt, 1), (ad.tanh, 1), (ad.gelu, 1),
+    (ad.exp, 1), (ad.log, 1), (ad.sqrt, 1), (ad.gelu, 1),
     (softmax, 1), (ad.tsum, 1), (lambda a: ad.reshape(a, (9,)), 1),
     (lambda a: ad.transpose(a, (1, 0)), 1), (lambda a: a[1:], 1),
     (ad.layer_norm, 3), (lambda *p: ad.concat(p), 2),

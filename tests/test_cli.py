@@ -15,7 +15,8 @@ from promptlab.cli import (ConfigError, ExperimentConfig, load_config, main,
                            reference_config, run_ablate, run_base_to_novel,
                            run_cross_dataset, run_segment, save_config,
                            to_model_config, validate)
-from promptlab.datagen import VOCAB, generate_dataset
+from promptlab.datagen import (VOCAB, generate_dataset, load_checkpoint,
+                               save_checkpoint)
 from promptlab.encoders import EncoderState, ModelConfig, PromptSet
 from promptlab.tuning import LOG_COLUMNS, global_branch_accuracy
 from dataclasses import fields, replace
@@ -108,7 +109,7 @@ def test_to_model_config_mapping():
     mcfg = to_model_config(tiny(prompt_depth=0))
     assert mcfg.prompt_depth == 2       # 0 means full depth
     assert mcfg.vocab_size == len(VOCAB)
-    assert tuple(mcfg.patch_grid) == (2, 2)
+    assert mcfg.patch_grid == 2
     assert to_model_config(tiny(prompt_depth=1)).prompt_depth == 1
 
 
@@ -123,10 +124,37 @@ def test_to_model_config_carries_every_shared_field():
     assert set(over) == shared
     mcfg = to_model_config(replace(ExperimentConfig(), **over))
     for name, value in over.items():
-        want = (value, value) if name == "patch_grid" else value
         assert getattr(ExperimentConfig(), name) != value, name
-        assert getattr(ModelConfig(), name) != want, name
-        assert getattr(mcfg, name) == want, name
+        assert getattr(ModelConfig(), name) != value, name
+        assert getattr(mcfg, name) == value, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(heads=st.integers(1, 3), dv=st.integers(1, 4), dt=st.integers(1, 4),
+       shared=st.integers(1, 5), depth=st.integers(1, 3),
+       prompt_depth=st.integers(0, 3), grid=st.integers(1, 4),
+       patch=st.integers(1, 3), visual=st.integers(0, 3),
+       text=st.integers(0, 3), mask=st.booleans(),
+       temperature=st.floats(1e-3, 10.0),
+       weights=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))
+def test_model_config_round_trips_through_a_checkpoint(
+        tmp_path_factory, heads, dv, dt, shared, depth, prompt_depth, grid,
+        patch, visual, text, mask, temperature, weights):
+    cfg = tiny(visual_width=heads * dv, text_width=heads * dt,
+               shared_width=shared, depth=depth, heads=heads,
+               prompt_depth=min(prompt_depth, depth), patch_grid=grid,
+               image_size=grid * max(patch, -(-8 // grid)),
+               visual_prompt_len=visual, text_prompt_len=text,
+               mask_prompts=mask, temperature=temperature,
+               text_consistency_weight=weights[0],
+               image_consistency_weight=weights[1])
+    validate(cfg)
+    mcfg = to_model_config(cfg)
+    assert mcfg.prompt_depth == (cfg.prompt_depth or depth)
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.bin"
+    save_checkpoint(path, mcfg, EncoderState.initialize(mcfg, seed=0),
+                    PromptSet.initialize(mcfg, seed=0))
+    assert load_checkpoint(path)[0] == mcfg
 
 
 # float key -> (lower bound, whether the bound itself is valid)
@@ -500,6 +528,19 @@ def test_main_validation_failures_exit_1(tmp_path, capsys):
     out = tmp_path / "nan_out"
     assert main(["train", "--config", nan, "--out", str(out)]) == 1
     assert "bad value for temperature" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["threshold:abc", "threshold:"])
+def test_main_bad_threshold_exits_1_naming_the_strategy(tmp_path, capsys,
+                                                        strategy):
+    ini = write_tiny_ini(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", ini, "--out", str(out),
+                 "--strategy", strategy]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ensemble strategy {strategy!r}: theta must be a number in "
+        f"(0, 1)\n")
     assert not out.exists()
 
 

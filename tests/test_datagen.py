@@ -183,7 +183,7 @@ def test_template_matches_expected_phrase():
 
 def ckpt_fixture(**overrides):
     args = dict(visual_width=8, text_width=8, shared_width=4, depth=2,
-                heads=2, patch_grid=(2, 2), image_size=4, vocab_size=12,
+                heads=2, patch_grid=2, image_size=4, vocab_size=12,
                 visual_prompt_len=2, text_prompt_len=2)
     cfg = ModelConfig(**{**args, **overrides})
     state = EncoderState.initialize(cfg, seed=7)
@@ -241,12 +241,19 @@ def test_checkpoint_version_rejected(tmp_path):
     cfg, state, prompts = ckpt_fixture()
     p = tmp_path / "a.ckpt"
     save_checkpoint(p, cfg, state, prompts)
-    raw = bytearray(p.read_bytes())
-    raw[4:8] = struct.pack("<I", 1)
+
+    def as_version_2(header):   # a (rows, cols) grid and a text length
+        header["config"]["patch_grid"] = [cfg.patch_grid] * 2
+        header["max_text_len"] = 16
+
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(bad)
+    for version, edit in ((1, lambda header: None), (2, as_version_2)):
+        raw = bytearray(rewrite_header(p.read_bytes(), edit))
+        raw[4:8] = struct.pack("<I", version)
+        bad.write_bytes(bytes(raw))
+        match = f"^unsupported checkpoint version {version}$"
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_cross_config_shape_mismatch(tmp_path):
@@ -265,7 +272,7 @@ def test_checkpoint_cross_config_shape_mismatch(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(heads=st.integers(1, 3), dv=st.integers(1, 4), dt=st.integers(1, 4),
        shared=st.integers(1, 5), depth=st.integers(1, 3),
-       prompt_depth=st.integers(1, 3), grid=st.integers(1, 2),
+       prompt_depth=st.integers(0, 3), grid=st.integers(1, 2),
        patch=st.integers(1, 3), vocab=st.integers(1, 20),
        visual=st.integers(0, 3), text=st.integers(0, 3))
 def test_tensor_values_counts_tensor_items(heads, dv, dt, shared, depth,
@@ -273,7 +280,7 @@ def test_tensor_values_counts_tensor_items(heads, dv, dt, shared, depth,
                                            visual, text):
     cfg = ModelConfig(visual_width=heads * dv, text_width=heads * dt,
                       shared_width=shared, depth=depth, heads=heads,
-                      patch_grid=(grid, grid), image_size=grid * patch,
+                      patch_grid=grid, image_size=grid * patch,
                       vocab_size=vocab, visual_prompt_len=visual,
                       text_prompt_len=text,
                       prompt_depth=min(prompt_depth, depth))
@@ -325,7 +332,7 @@ def test_checkpoint_header_with_huge_width_is_rejected_before_allocating(
     assert re.search(match, done.stdout.strip()), done.stdout
 
 
-@pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": [0, 4]},
+@pytest.mark.parametrize("config", [{"heads": 0}, {"patch_grid": 0},
                                     {"visual_width": 0}, {"image_size": -16},
                                     {"vocab_size": 0}],
                          ids=["zero_heads", "zero_grid_side", "zero_width",

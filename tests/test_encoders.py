@@ -5,6 +5,9 @@ no calls into promptlab's layer code, so agreement (bit-exact for the
 promptless path) checks the encoder against an independent route.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from promptlab.encoders import (EncoderState, ModelConfig, PromptSet,
 
 def small_cfg(**kw):
     base = dict(visual_width=8, text_width=8, shared_width=4, depth=2,
-                heads=2, patch_grid=(2, 2), image_size=4, vocab_size=6,
+                heads=2, patch_grid=2, image_size=4, vocab_size=6,
                 text_prompt_len=2, visual_prompt_len=2)
     base.update(kw)
     return ModelConfig(**base)
@@ -34,17 +37,18 @@ def small_cfg(**kw):
 def test_config_validation_errors():
     with pytest.raises(ValueError):
         ModelConfig(visual_width=6, heads=4)
-    with pytest.raises(ValueError):
-        ModelConfig(prompt_depth=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^prompt_depth must"):
+        ModelConfig(prompt_depth=-1)
+    with pytest.raises(ValueError, match="^prompt_depth must"):
         ModelConfig(depth=2, prompt_depth=3)
     with pytest.raises(ValueError):
         ModelConfig(temperature=0.0)
     with pytest.raises(ValueError):
-        ModelConfig(image_size=10, patch_grid=(4, 4))
+        ModelConfig(image_size=10, patch_grid=4)
     # a size that cannot build is rejected by name
     for name, value in (("image_size", -16), ("image_size", 0),
                         ("vocab_size", 0), ("vocab_size", -3),
+                        ("patch_grid", 0), ("patch_grid", -2),
                         ("visual_prompt_len", -1), ("text_prompt_len", -1)):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             ModelConfig(**{name: value})
@@ -61,17 +65,18 @@ def test_config_rejects_non_finite_and_negative_floats(name, value):
 def test_config_prompt_depth_defaults_to_depth():
     cfg = ModelConfig(depth=5)
     assert cfg.prompt_depth == 5
+    assert ModelConfig(depth=5, prompt_depth=0) == cfg   # 0 = every layer
 
 
 def test_config_dict_roundtrip():
     cfg = small_cfg(prompt_depth=1, mask_prompts=False)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    header = json.loads(json.dumps(asdict(cfg)))   # as a checkpoint stores it
+    assert ModelConfig(**header) == cfg
 
 
 def test_config_derived_sizes():
     cfg = small_cfg()
     assert cfg.num_patches == 4
-    assert cfg.patch_shape == (2, 2)
     assert cfg.patch_dim == 4
 
 
@@ -86,7 +91,7 @@ def test_patchify_hand_case():
 
 
 def test_patchify_matches_loop_extraction():
-    cfg = ModelConfig(image_size=12, patch_grid=(3, 4), visual_width=8, heads=2)
+    cfg = ModelConfig(image_size=12, patch_grid=4, visual_width=8, heads=2)
     g = np.random.default_rng(7)
     image = g.normal(size=(12, 12))
     assert np.array_equal(enc.patchify(image, cfg), _patches_by_loop(image, cfg))

@@ -262,20 +262,20 @@ def test_resolve_strategy_rejects_unknown():
         resolve_strategy("median")
     with pytest.raises(ValueError, match="theta"):
         resolve_strategy("threshold:1.5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ensemble strategy 'threshold:abc': "
+                       r"theta must be a number in \(0, 1\)$"):
         resolve_strategy("threshold:abc")
 
 
 # -------------------------------------------------------------- integration
 
 CFG = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=2,
-                  heads=2, patch_grid=(2, 2), image_size=8, vocab_size=12,
+                  heads=2, patch_grid=2, image_size=8, vocab_size=12,
                   text_prompt_len=2, visual_prompt_len=2)
 
 
 def setup_model(v=2):
-    cfg = CFG if v == 2 else ModelConfig(**{**CFG.to_dict(),
-                                            "visual_prompt_len": v})
+    cfg = replace(CFG, visual_prompt_len=v)
     state = EncoderState.initialize(cfg, seed=0)
     prompts = PromptSet.initialize(cfg, seed=1)
     bank = build_text_bank(["square", "ring"], prompts, cfg, state)

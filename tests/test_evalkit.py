@@ -96,7 +96,7 @@ def test_harmonic_mean_rejects_nonpositive():
 # -------------------------------------------------------- attention maps
 
 SMALL = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=1,
-                    heads=2, patch_grid=(2, 2), image_size=4, vocab_size=6,
+                    heads=2, patch_grid=2, image_size=4, vocab_size=6,
                     text_prompt_len=2, visual_prompt_len=2)
 
 
@@ -106,7 +106,7 @@ def small_image(seed=0, size=4):
 
 def test_attention_map_single_patch_is_one():
     cfg = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=1,
-                      heads=2, patch_grid=(1, 1), image_size=4, vocab_size=6,
+                      heads=2, patch_grid=1, image_size=4, vocab_size=6,
                       text_prompt_len=2, visual_prompt_len=2)
     state = EncoderState.initialize(cfg, seed=0)
     prompts = PromptSet.initialize(cfg, seed=1)
@@ -131,7 +131,7 @@ def test_attention_map_sums_to_one():
         grid = extract_attention_map(small_image(1), prompts, SMALL, state, sel)
         assert abs(grid.sum() - 1.0) < 1e-10
         assert (grid >= 0).all()
-        assert grid.shape == tuple(SMALL.patch_grid)
+        assert grid.shape == (SMALL.patch_grid,) * 2
 
 
 def weights_oracle(image, prompts, cfg, state):
@@ -158,7 +158,7 @@ def test_attention_map_matches_hand_oracle():
     m = SMALL.num_patches
     for sel, row_idx in (("CLS", 0), ("VP:0", 1 + m), ("VP:1", 2 + m)):
         row = w[row_idx, 1:1 + m]
-        want = (row / row.sum()).reshape(SMALL.patch_grid)
+        want = (row / row.sum()).reshape(SMALL.patch_grid, SMALL.patch_grid)
         got = extract_attention_map(image, prompts, SMALL, state, sel)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -314,7 +314,7 @@ def test_mean_metrics_aggregation():
 # ---------------------------------------------------------------- GradCAM
 
 GCFG = ModelConfig(visual_width=8, text_width=8, shared_width=8, depth=2,
-                   heads=2, patch_grid=(2, 2), image_size=4, vocab_size=12,
+                   heads=2, patch_grid=2, image_size=4, vocab_size=12,
                    text_prompt_len=2, visual_prompt_len=2)
 
 
@@ -328,7 +328,7 @@ def gradcam_setup(seed=0):
 def test_gradcam_nonnegative_and_shaped():
     state, prompts, bank = gradcam_setup()
     grid = gradcam_map(small_image(3), prompts, GCFG, state, bank)
-    assert grid.shape == tuple(GCFG.patch_grid)
+    assert grid.shape == (GCFG.patch_grid,) * 2
     assert (grid >= 0).all()
 
 
@@ -359,7 +359,7 @@ def test_gradcam_zero_when_last_layer_inert():
     for t in (lw.wv, lw.bv, lw.wo, lw.bo, lw.w2, lw.b2):
         t.data[:] = 0.0
     grid = gradcam_map(small_image(7), prompts, GCFG, state, bank)
-    assert np.array_equal(grid, np.zeros(GCFG.patch_grid))
+    assert np.array_equal(grid, np.zeros((GCFG.patch_grid,) * 2))
 
 
 def test_gradcam_channel_weights_match_finite_differences():
@@ -386,7 +386,7 @@ def test_gradcam_channel_weights_match_finite_differences():
 
     got = gradcam_map(image, prompts, GCFG, state, bank)
     want = np.maximum(acts[1:1 + m] @ g_ad[1:1 + m].mean(axis=0),
-                      0.0).reshape(GCFG.patch_grid)
+                      0.0).reshape(GCFG.patch_grid, GCFG.patch_grid)
     assert np.allclose(got, want, atol=1e-12)
 
 

@@ -179,7 +179,7 @@ def test_global_loss_adds_paper_weighted_consistency_to_ce():
 
 def tuning_cfg(**kw):
     base = dict(visual_width=8, text_width=8, shared_width=8, depth=2,
-                heads=2, patch_grid=(2, 2), image_size=8, vocab_size=12,
+                heads=2, patch_grid=2, image_size=8, vocab_size=12,
                 visual_prompt_len=2, text_prompt_len=2)
     base.update(kw)
     return ModelConfig(**base)
@@ -288,7 +288,7 @@ def test_vanilla_rep_is_prompt_independent_and_constant():
 def test_pipeline_matches_straight_line_oracle():
     # single-layer, single-head, single-patch config checked end to end
     cfg = ModelConfig(visual_width=2, text_width=2, shared_width=2, depth=1,
-                      heads=1, patch_grid=(1, 1), image_size=2, vocab_size=12,
+                      heads=1, patch_grid=1, image_size=2, vocab_size=12,
                       visual_prompt_len=1, text_prompt_len=1)
     state = EncoderState.initialize(cfg, seed=11)
     prompts = PromptSet.initialize(cfg, seed=12)
